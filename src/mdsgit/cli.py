@@ -43,7 +43,7 @@ from .mori import (
     nef_chamber,
     picard_number,
 )
-from .npoints import build_config, quotient_picard, verify_rho_formula
+from .npoints import MAX_N, build_config, verify_rho_formula
 from .toric import (
     Fan,
     WeightSystem,
@@ -397,10 +397,9 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_m0n(args) -> int:
-    config = build_config(args.n, max_n=args.max_n)
+    config = build_config(args.n)
     report = verify_rho_formula(config)
-    rho = quotient_picard(config)
-    values = sorted({v for v in rho if v is not None})
+    values = sorted({v for v in report.rho if v is not None})
     payload = {
         "n": config.n,
         "walls": len(config.walls),
@@ -465,8 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("m0n", cmd_m0n, "chamber bookkeeping for n points on a line",
             needs_input=False)
     p.add_argument("-n", "--n", dest="n", type=int, required=True,
-                   help="number of points (4 to 8)")
-    p.add_argument("--max-n", type=int, default=8, help="safety bound for n")
+                   help=f"number of points (4 to {MAX_N})")
     return parser
 
 

@@ -397,3 +397,39 @@ def split_by_hyperplanes(cone: Cone, hyperplanes) -> tuple[SplitCell, ...]:
         SplitCell(tuple(state.rays), tuple(state.lin), tuple(signs))
         for state, signs in cells
     )
+
+
+def sign_mask(hyperplanes, point) -> int:
+    """Name the arrangement cell of a point: bit k is set when hyperplane k is positive on it.
+
+    Raises InvariantViolationError when the point lies on a hyperplane.
+    """
+    mask = 0
+    for k, h in enumerate(hyperplanes):
+        s = dot(h, point)
+        if s == 0:
+            raise InvariantViolationError(f"point {tuple(point)} lies on hyperplane {k}")
+        if s > 0:
+            mask |= 1 << k
+    return mask
+
+
+def adjacent_pairs(masks, nbits: int) -> tuple[tuple[int, int, int], ...]:
+    """Sorted triples (i, j, k), i < j, whose masks differ only in bit k.
+
+    Each one-bit flip of each mask is looked up in a dict, so the cost is
+    O(len(masks) * nbits) rather than quadratic in the number of cells.
+    """
+    index: dict[int, int] = {}
+    for i, m in enumerate(masks):
+        j = index.setdefault(m, i)
+        if j != i:
+            raise InvariantViolationError(f"cells {j} and {i} have the same sign mask")
+    pairs = []
+    for i, m in enumerate(masks):
+        for k in range(nbits):
+            j = index.get(m ^ (1 << k))
+            if j is not None and i < j:
+                pairs.append((i, j, k))
+    pairs.sort()
+    return tuple(pairs)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .errors import DimensionMismatchError
@@ -24,7 +25,7 @@ def dot(a, b):
     """Scalar product of two equal-length vectors (int or Fraction entries)."""
     if len(a) != len(b):
         raise DimensionMismatchError(f"dot of length {len(a)} with length {len(b)}")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vadd(a, b):

@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import Cone, cone_from_generators, cone_from_inequalities, intersect, minkowski_sum
+from .cones import (
+    Cone,
+    cone_from_generators,
+    cone_from_inequalities,
+    intersect,
+    minkowski_sum,
+    sign_mask,
+)
 from .errors import DegenerateLinearizationError, InvariantViolationError
 from .linalg import IntVec, dot
 from .toric import Fan, WeightSystem, canonicalize_fan, g_ample_cone, is_complete
@@ -322,13 +329,13 @@ def factor_contraction(complex_: ChamberComplex, chi_from, chi_to) -> Factorizat
             # moment-curve perturbation too small to change any strict sign
             qq = tuple(q[k] + Fraction(1, denom ** (k + 1)) for k in range(ws.rho))
         events = []
-        for h in hyps:
+        for k, h in enumerate(hyps):
             sp = dot(h, p)
             sq = dot(h, qq)
             if sp == 0 or sq == 0:
                 raise InvariantViolationError("endpoint lies on a candidate wall")
             if (sp > 0) != (sq > 0):
-                events.append((Fraction(sp, sp - sq), h))
+                events.append((Fraction(sp, sp - sq), k))
         times = [t for t, _ in events]
         if len(set(times)) == len(times):
             break
@@ -336,33 +343,25 @@ def factor_contraction(complex_: ChamberComplex, chi_from, chi_to) -> Factorizat
     else:
         raise InvariantViolationError("could not separate wall crossings by perturbation")
 
-    events.sort(key=lambda e: e[0])
-    wall_by_pair = {frozenset((w.left, w.right)): (idx, w) for idx, w in enumerate(complex_.walls)}
-    sign_to_chamber = {}
-    for ch in complex_.chambers:
-        sign_to_chamber[_sign_key(hyps, ch.representative)] = ch.id
+    events.sort()
+    wall_by_pair = {frozenset((w.left, w.right)): w for w in complex_.walls}
+    chamber_by_mask = {sign_mask(hyps, ch.representative): ch.id for ch in complex_.chambers}
 
+    # each event flips the sign of exactly one hyperplane along the segment
+    mask = sign_mask(hyps, p)
     path = [start]
     crossings = []
-    cut_times = [t for t, _ in events]
-    midpoints = []
-    for i in range(len(events)):
-        lo = cut_times[i]
-        hi = cut_times[i + 1] if i + 1 < len(events) else Fraction(1)
-        midpoints.append((lo + hi) / 2)
-    for tmid, (tcross, h) in zip(midpoints, events):
-        point = tuple(pk + tmid * (qk - pk) for pk, qk in zip(p, qq))
-        key = _sign_key(hyps, point)
-        nxt = sign_to_chamber.get(key)
+    for _, k in events:
+        mask ^= 1 << k
+        nxt = chamber_by_mask.get(mask)
         if nxt is None:
-            raise InvariantViolationError("segment midpoint not in any chamber")
+            raise InvariantViolationError(f"segment crosses hyperplane {k} into no chamber")
         cur = path[-1]
-        pair = frozenset((cur, nxt))
-        if pair not in wall_by_pair:
+        wall = wall_by_pair.get(frozenset((cur, nxt)))
+        if wall is None:
             raise InvariantViolationError(
                 f"consecutive chambers {cur} and {nxt} do not share a wall"
             )
-        _, wall = wall_by_pair[pair]
         crossing = classify_wall(complex_, wall)
         if wall.left != cur:
             crossing = _reverse_crossing(crossing)
@@ -372,14 +371,4 @@ def factor_contraction(complex_: ChamberComplex, chi_from, chi_to) -> Factorizat
         raise InvariantViolationError(
             f"segment walk ended in chamber {path[-1]}, expected {end}"
         )
-    return Factorization(tuple(path), tuple(crossings), tuple(cut_times))
-
-
-def _sign_key(hyperplanes, point) -> tuple[int, ...]:
-    out = []
-    for h in hyperplanes:
-        s = dot(h, point)
-        if s == 0:
-            raise InvariantViolationError("point lies on a candidate wall")
-        out.append(1 if s > 0 else -1)
-    return tuple(out)
+    return Factorization(tuple(path), tuple(crossings), tuple(t for t, _ in events))

@@ -18,9 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cones import positive_orthant, split_by_hyperplanes
+from .cones import adjacent_pairs, positive_orthant, sign_mask, split_by_hyperplanes
 from .errors import InvariantViolationError
 from .linalg import IntVec
+
+# Largest n accepted.  n = 7 has 63 walls and 122,921 chambers; n = 8 has
+# not been seen to finish.
+MAX_N = 7
 
 
 @dataclass(frozen=True)
@@ -69,49 +73,30 @@ def _covector(n: int, subset) -> IntVec:
     return tuple(1 if i in inside else -1 for i in range(1, n + 1))
 
 
-def build_config(n: int, max_n: int = 8) -> LineConfig:
+def build_config(n: int) -> LineConfig:
     """Enumerate the chambers of the subset-sum arrangement for n points.
 
-    The arrangement grows exponentially with n; max_n guards against
-    accidental huge runs.
+    The arrangement grows exponentially with n, so n is refused above
+    MAX_N before any work is done.
     """
-    if not 4 <= n <= max_n:
-        raise ValueError(f"n must be between 4 and {max_n}, got {n}")
+    if not 4 <= n <= MAX_N:
+        raise ValueError(f"n must be between 4 and {MAX_N}, got {n}")
     walls = tuple(LineWall(s, _covector(n, s)) for s in _wall_subsets(n))
-    cells = split_by_hyperplanes(positive_orthant(n), [w.covector for w in walls])
-    n_singletons = n  # singleton walls come first in the ordering
-
-    def cell_key(cell):
-        return cell.signs
-
-    records = []
-    for cell in sorted(cells, key=cell_key):
-        rep = [0] * n
-        for ray in cell.rays:
-            for i, x in enumerate(ray):
-                rep[i] += x
-        stable = all(s == -1 for s in cell.signs[:n_singletons])
-        records.append((cell.signs, tuple(rep), stable))
-
+    covectors = [w.covector for w in walls]
+    cells = sorted(split_by_hyperplanes(positive_orthant(n), covectors),
+                   key=lambda cell: cell.signs)
+    # singleton walls come first in the ordering
     chambers = tuple(
-        LineChamber(i, signs, rep, stable)
-        for i, (signs, rep, stable) in enumerate(records)
+        LineChamber(i, cell.signs, tuple(map(sum, zip(*cell.rays))),
+                    all(s == -1 for s in cell.signs[:n]))
+        for i, cell in enumerate(cells)
     )
     if sum(1 for ch in chambers if not ch.stable) != n:
         raise InvariantViolationError(
             f"expected exactly {n} unstable chambers for n={n}"
         )
-
-    masks = [
-        sum(1 << k for k, s in enumerate(ch.signs) if s > 0) for ch in chambers
-    ]
-    adjacency = []
-    for i in range(len(chambers)):
-        mi = masks[i]
-        for j in range(i + 1, len(chambers)):
-            diff = mi ^ masks[j]
-            if diff and not diff & (diff - 1):
-                adjacency.append((i, j, diff.bit_length() - 1))
+    masks = [sign_mask(covectors, ch.representative) for ch in chambers]
+    adjacency = adjacent_pairs(masks, len(walls))
 
     seed_signs = tuple(
         1 if (1 in w.subset and len(w.subset) > 1) else -1 for w in walls
@@ -119,7 +104,7 @@ def build_config(n: int, max_n: int = 8) -> LineConfig:
     seed = next((ch.index for ch in chambers if ch.signs == seed_signs), None)
     if seed is None:
         raise InvariantViolationError("seed sign vector is not realized by any chamber")
-    return LineConfig(n, walls, chambers, tuple(adjacency), seed)
+    return LineConfig(n, walls, chambers, adjacency, seed)
 
 
 def rho_constant(n: int) -> int:
@@ -135,22 +120,18 @@ def crossing_delta(n: int, subset_size: int) -> int:
 
 
 def exceptional_count(config: LineConfig, chamber) -> int:
-    """Number of subsets T with 3 <= |T| <= n-2 negative on the chamber."""
+    """Number of subsets T with 3 <= |T| <= n-2 negative on the chamber.
+
+    Each wall S is negative on exactly one of S and its complement, and
+    every such T is one of the two for exactly one wall.
+    """
     if isinstance(chamber, int):
         chamber = config.chambers[chamber]
     n = config.n
-    index_of = {w.subset: i for i, w in enumerate(config.walls)}
     count = 0
-    for size in range(3, n - 1):
-        for t in combinations(range(1, n + 1), size):
-            idx = index_of.get(t)
-            if idx is not None:
-                sign = chamber.signs[idx]
-            else:
-                comp = tuple(i for i in range(1, n + 1) if i not in t)
-                sign = -chamber.signs[index_of[comp]]
-            if sign < 0:
-                count += 1
+    for w, s in zip(config.walls, chamber.signs):
+        size = len(w.subset) if s < 0 else n - len(w.subset)
+        count += 3 <= size <= n - 2
     return count
 
 
@@ -210,10 +191,15 @@ class RhoReport:
     n_stable: int
     n_unstable: int
     failures: tuple[int, ...]
+    rho: tuple[int | None, ...]
 
 
 def verify_rho_formula(config: LineConfig) -> RhoReport:
-    """Check rho + exceptional count against the closed-form constant everywhere."""
+    """Check rho + exceptional count against the closed-form constant everywhere.
+
+    The report carries the propagated Picard numbers, so callers need not
+    run quotient_picard again.
+    """
     rho = quotient_picard(config)
     constant = rho_constant(config.n)
     failures = []
@@ -232,4 +218,5 @@ def verify_rho_formula(config: LineConfig) -> RhoReport:
         n_stable,
         len(config.chambers) - n_stable,
         tuple(failures),
+        rho,
     )

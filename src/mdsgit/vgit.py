@@ -13,7 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .cones import Cone, cone_from_generators, intersect, split_by_hyperplanes
+from .cones import (
+    Cone,
+    adjacent_pairs,
+    cone_from_generators,
+    intersect,
+    sign_mask,
+    split_by_hyperplanes,
+)
 from .errors import (
     DimensionMismatchError,
     InvariantViolationError,
@@ -93,14 +100,6 @@ class ChamberComplex:
         return self._quotients[chamber_id]
 
 
-def _sign_vector(hyperplanes, point) -> tuple[int, ...]:
-    out = []
-    for h in hyperplanes:
-        s = dot(h, point)
-        out.append(0 if s == 0 else (1 if s > 0 else -1))
-    return tuple(out)
-
-
 def _simplicial_cross_check(ws: WeightSystem, chamber: Chamber) -> None:
     pieces = []
     for subset in combinations(range(ws.r), ws.rho):
@@ -144,18 +143,12 @@ def enumerate_chambers(ws: WeightSystem, cross_check: bool | None = None) -> Cha
     g = g_ample_cone(ws)
     hyps = wall_hyperplanes(ws)
     cells = split_by_hyperplanes(g, hyps)
-    cones = [
-        cone_from_generators(cell.rays, cell.lineality, ambient_dim=ws.rho)
-        for cell in cells
-    ]
-    order = sorted(range(len(cells)), key=lambda i: (cones[i].generators, cones[i].lineality))
-    chambers = []
-    for new_id, idx in enumerate(order):
-        rep = cones[idx].relative_interior_point()
-        chambers.append(Chamber(new_id, cones[idx], rep))
-    signs = [_sign_vector(hyps, ch.representative) for ch in chambers]
-    if any(0 in s for s in signs):
-        raise InvariantViolationError("chamber representative landed on a hyperplane")
+    cones = sorted(
+        (cone_from_generators(cell.rays, cell.lineality, ambient_dim=ws.rho) for cell in cells),
+        key=lambda c: (c.generators, c.lineality),
+    )
+    chambers = [Chamber(i, c, c.relative_interior_point()) for i, c in enumerate(cones)]
+    masks = [sign_mask(hyps, ch.representative) for ch in chambers]
 
     if cross_check is None:
         cross_check = ws.rho <= _CROSS_CHECK_RHO and ws.r <= _CROSS_CHECK_R
@@ -164,21 +157,16 @@ def enumerate_chambers(ws: WeightSystem, cross_check: bool | None = None) -> Cha
             _simplicial_cross_check(ws, ch)
 
     walls = []
-    wall_facets_by_chamber: dict[int, list[Cone]] = {ch.id: [] for ch in chambers}
-    for i, j in combinations(range(len(chambers)), 2):
-        diff = [k for k, (a, b) in enumerate(zip(signs[i], signs[j])) if a != b]
-        if len(diff) != 1:
-            continue
-        k = diff[0]
+    wall_facets: set[tuple[int, Cone]] = set()
+    for i, j, k in adjacent_pairs(masks, len(hyps)):
         facet = intersect(chambers[i].cone, chambers[j].cone)
         if len(facet.equations) != 1:
             raise InvariantViolationError(
                 f"wall between chambers {i} and {j} is not codimension one"
             )
-        left, right = (i, j) if signs[j][k] > 0 else (j, i)
+        left, right = (i, j) if masks[j] >> k & 1 else (j, i)
         walls.append(Wall(left, right, hyps[k], facet))
-        wall_facets_by_chamber[i].append(facet)
-        wall_facets_by_chamber[j].append(facet)
+        wall_facets.update(((i, facet), (j, facet)))
     walls.sort(key=lambda w: (w.left, w.right))
 
     boundary = []
@@ -186,7 +174,7 @@ def enumerate_chambers(ws: WeightSystem, cross_check: bool | None = None) -> Cha
         for h in ch.cone.inequalities:
             tight = [g_ for g_ in ch.cone.generators if dot(h, g_) == 0]
             facet = cone_from_generators(tight, ch.cone.lineality, ambient_dim=ws.rho)
-            if facet not in wall_facets_by_chamber[ch.id]:
+            if (ch.id, facet) not in wall_facets:
                 boundary.append(BoundaryFacet(ch.id, h, facet))
     boundary.sort(key=lambda b: (b.chamber, b.normal))
 

@@ -151,3 +151,39 @@ def brute_force_facets(generators, dim: int):
         if sum(1 for d in dots if d == 0) >= dim - 1 and any(dots):
             normals.add(normal)
     return sorted(normals)
+
+
+def single_flip_pairs(sign_vectors):
+    """All (i, j, k), i < j, whose +-1 sign vectors differ exactly at k.
+
+    Compares every pair, so quadratic in the number of vectors.
+    """
+    bits = [sum(1 << k for k, s in enumerate(v) if s > 0) for v in sign_vectors]
+    out = set()
+    for i, j in combinations(range(len(bits)), 2):
+        diff = bits[i] ^ bits[j]
+        if diff and diff & (diff - 1) == 0:
+            out.add((i, j, diff.bit_length() - 1))
+    return out
+
+
+def exceptional_count_by_subsets(n: int, wall_subsets, signs) -> int:
+    """Subsets T of {1..n} with 3 <= |T| <= n-2 negative on a chamber.
+
+    wall_subsets[i] is the subset of wall i and signs[i] the chamber's sign
+    on it; a T that is not a wall subset is the complement of one, with the
+    opposite sign.  Enumerates every T.
+    """
+    index_of = {tuple(s): i for i, s in enumerate(wall_subsets)}
+    count = 0
+    for size in range(3, n - 1):
+        for t in combinations(range(1, n + 1), size):
+            idx = index_of.get(t)
+            if idx is not None:
+                sign = signs[idx]
+            else:
+                comp = tuple(i for i in range(1, n + 1) if i not in t)
+                sign = -signs[index_of[comp]]
+            if sign < 0:
+                count += 1
+    return count

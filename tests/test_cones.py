@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdsgit.cones import (
+    adjacent_pairs,
     cone_from_generators,
     cone_from_inequalities,
     dual,
@@ -14,12 +15,13 @@ from mdsgit.cones import (
     intersect,
     minkowski_sum,
     positive_orthant,
+    sign_mask,
     split_by_hyperplanes,
     zero_cone,
 )
 from mdsgit.errors import InvariantViolationError
 from mdsgit.linalg import dot
-from oracles import brute_force_facets, count_chambers_bruteforce
+from oracles import brute_force_facets, count_chambers_bruteforce, single_flip_pairs
 
 entries = st.integers(min_value=-5, max_value=5)
 
@@ -138,6 +140,10 @@ def test_split_signs_are_strict():
         for h, s in zip([(1, -1), (2, -1)], cell.signs):
             d = dot(h, rep)
             assert d != 0 and (d > 0) == (s > 0)
+    assert sign_mask([(1, -1), (2, -1)], (1, 3)) == 0
+    assert sign_mask([(1, -1), (2, -1)], (2, 3)) == 0b10
+    with pytest.raises(InvariantViolationError):
+        sign_mask([(1, -1), (2, -1)], (1, 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,6 +161,11 @@ def test_split_count_matches_bruteforce(hyps):
     expected = count_chambers_bruteforce(usable, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
     assert len(cells) == expected
     assert len({c.signs for c in cells}) == len(cells)
+    reps = [tuple(map(sum, zip(*c.rays))) for c in cells]
+    masks = [sign_mask(usable, rep) for rep in reps]
+    pairs = adjacent_pairs(masks, len(usable))
+    assert set(pairs) == single_flip_pairs([c.signs for c in cells])
+    assert list(pairs) == sorted(pairs)
 
 
 def _crosses(h):

@@ -16,7 +16,7 @@ from mdsgit.npoints import (
     rho_constant,
     verify_rho_formula,
 )
-from oracles import count_chambers_bruteforce
+from oracles import count_chambers_bruteforce, exceptional_count_by_subsets, single_flip_pairs
 
 FROZEN = {
     # n: (walls, chambers, stable)
@@ -35,9 +35,9 @@ def test_bounds_are_enforced():
     with pytest.raises(ValueError):
         build_config(3)
     with pytest.raises(ValueError):
-        build_config(9)
+        build_config(8)
     with pytest.raises(ValueError):
-        build_config(7, max_n=6)
+        build_config(9)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -166,15 +166,24 @@ def _normalized(rep):
     return tuple(x // g for x in rep) if g else rep
 
 
-def test_adjacency_is_single_sign_flip(configs):
-    cfg = configs[4]
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_adjacency_is_single_sign_flip(configs, n):
+    cfg = configs[n]
     for a, b, w in cfg.adjacency:
         sa, sb = cfg.chambers[a].signs, cfg.chambers[b].signs
         diffs = [k for k in range(len(sa)) if sa[k] != sb[k]]
         assert diffs == [w]
+    assert set(cfg.adjacency) == single_flip_pairs([ch.signs for ch in cfg.chambers])
+    assert list(cfg.adjacency) == sorted(cfg.adjacency)
 
 
 def test_exceptional_count_accepts_index_or_chamber(configs):
     cfg = configs[5]
     ch = cfg.chambers[cfg.seed_index]
     assert exceptional_count(cfg, ch) == exceptional_count(cfg, cfg.seed_index)
+    for n in (4, 5, 6):
+        cfg = configs[n]
+        subsets = [w.subset for w in cfg.walls]
+        for ch in cfg.chambers:
+            expected = exceptional_count_by_subsets(n, subsets, ch.signs)
+            assert exceptional_count(cfg, ch.index) == expected

@@ -35,7 +35,6 @@ from .errors import (
 from .mori import (
     classify_boundary_facet,
     classify_wall,
-    effective_cone,
     enumerate_sqms,
     factor_contraction,
     mori_chamber_data,
@@ -48,6 +47,7 @@ from .toric import (
     Fan,
     WeightSystem,
     cox_weights,
+    g_ample_cone,
     is_complete,
     make_fan,
     quotient_fan_data,
@@ -185,7 +185,7 @@ def cmd_chambers(args) -> int:
 
 def cmd_eff(args) -> int:
     doc = _load_input(args.input)
-    cone = effective_cone(doc.weights)
+    cone = g_ample_cone(doc.weights)
     payload = {
         "generators": [list(g) for g in cone.generators],
         "lineality": [list(g) for g in cone.lineality],

@@ -22,16 +22,8 @@ from .cones import (
 )
 from .errors import DegenerateLinearizationError, InvariantViolationError
 from .linalg import IntVec, dot
-from .toric import Fan, WeightSystem, canonicalize_fan, g_ample_cone, is_complete
+from .toric import Fan, canonicalize_fan, is_complete
 from .vgit import Chamber, ChamberComplex, Wall, chamber_of
-
-
-def effective_cone(ws: WeightSystem) -> Cone:
-    """Cone of effective divisor classes: pos of all weight columns.
-
-    Coincides with the cone of characters admitting semistable points.
-    """
-    return g_ample_cone(ws)
 
 
 def picard_number(fan: Fan) -> int | None:

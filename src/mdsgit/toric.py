@@ -10,6 +10,7 @@ round trip reproduces the fan up to a unimodular change of coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .cones import Cone, cone_from_generators, intersect
@@ -19,6 +20,7 @@ from .errors import (
     EmptySemistableLocusError,
     InvalidFanError,
     InvariantViolationError,
+    RankDeficientWeightsError,
 )
 from .linalg import (
     IntVec,
@@ -30,7 +32,7 @@ from .linalg import (
     primitive,
     rank_of,
     smith_normal_form,
-    solve_rational,
+    vneg,
 )
 
 
@@ -159,6 +161,35 @@ class WeightSystem:
     columns: tuple[IntVec, ...]
     torsion: tuple[int, ...]
 
+    @cached_property
+    def simplicial_cones(self) -> tuple[tuple[tuple[int, ...], tuple[IntVec, ...]], ...]:
+        """Each nonsingular rho-subset of columns with the facet normals of its cone.
+
+        normals[p] is the primitive inward normal of the facet opposite
+        column subset[p]: zero on the other columns, positive on that one,
+        with entries the signed (rho-1)-minors of the subset.  A character
+        is in the closed cone when every normal is nonnegative on it, and
+        in the interior when every normal is positive.  Empty exactly when
+        the weight matrix has rank below rho.
+        """
+        rho = self.rho
+        table = []
+        for subset in combinations(range(self.r), rho):
+            cols = [self.columns[j] for j in subset]
+            d = det(cols)
+            if d == 0:
+                continue
+            sign = 1 if d > 0 else -1
+            normals = []
+            for p in range(rho):
+                others = cols[:p] + cols[p + 1:]
+                normals.append(primitive(tuple(
+                    sign * (-1) ** (p + k) * det([c[:k] + c[k + 1:] for c in others])
+                    for k in range(rho)
+                )))
+            table.append((subset, tuple(normals)))
+        return tuple(table)
+
 
 def weight_system(columns, torsion=()) -> WeightSystem:
     columns = tuple(tuple(int(x) for x in c) for c in columns)
@@ -210,21 +241,16 @@ def gale_dual(ws: WeightSystem) -> tuple[IntVec, ...]:
 def wall_hyperplanes(ws: WeightSystem) -> tuple[IntVec, ...]:
     """Candidate wall normals: primitive normals of hyperplanes spanned by columns.
 
-    Every hyperplane spanned by weight columns contains rho-1 independent
-    columns, so enumerating those subsets finds all candidates.  Normals
-    are sign-normalized (first nonzero entry positive) and deduplicated.
+    Every hyperplane spanned by weight columns holds rho-1 independent
+    columns, and adding one column off it gives a simplicial cone with that
+    hyperplane as a facet, so the facet normals of ``ws.simplicial_cones``
+    are all the candidates.  Normals are sign-normalized (first nonzero
+    entry positive) and deduplicated.
     """
     normals = set()
-    for subset in combinations(range(ws.r), ws.rho - 1):
-        rows = [ws.columns[j] for j in subset]
-        ker = kernel_basis(rows, ws.rho)
-        if len(ker) != 1:
-            continue
-        h = ker[0]
-        first = next(x for x in h if x != 0)
-        if first < 0:
-            h = tuple(-x for x in h)
-        normals.add(h)
+    for _, facet_normals in ws.simplicial_cones:
+        for h in facet_normals:
+            normals.add(h if next(x for x in h if x != 0) > 0 else vneg(h))
     return tuple(sorted(normals))
 
 
@@ -242,23 +268,6 @@ def _check_chi(ws: WeightSystem, chi) -> IntVec:
     return chi
 
 
-def _require_chamber_interior(ws: WeightSystem, chi: IntVec) -> None:
-    loc = g_ample_cone(ws).contains(chi)
-    if loc == "outside":
-        raise EmptySemistableLocusError(
-            f"character {chi} lies outside the semistable cone; no semistable points"
-        )
-    if loc == "boundary":
-        raise DegenerateLinearizationError(
-            f"character {chi} lies on the boundary of the semistable cone"
-        )
-    for h in wall_hyperplanes(ws):
-        if dot(h, chi) == 0:
-            raise DegenerateLinearizationError(
-                f"character {chi} lies on the wall with normal {h}"
-            )
-
-
 @dataclass(frozen=True)
 class QuotientData:
     """Quotient fan of a chamber together with the column bookkeeping."""
@@ -268,29 +277,42 @@ class QuotientData:
     dropped_columns: tuple[int, ...]
 
 
-def quotient_fan_data(ws: WeightSystem, chi, validate: bool = True) -> QuotientData:
+def quotient_fan_data(ws: WeightSystem, chi) -> QuotientData:
     """Quotient fan for a character in the interior of a chamber.
 
     Maximal cones are the complements, on Gale vectors, of the column
     subsets whose simplicial cone contains chi in its interior.  Columns
     appearing in no maximal cone correspond to divisors contracted by the
-    linearization and are dropped (with their indices reported).
+    linearization and are dropped (with their indices reported).  A chi in
+    no closed simplicial column cone has an empty semistable locus; a chi
+    on a hyperplane spanned by columns is degenerate.
     """
     chi = _check_chi(ws, chi)
-    _require_chamber_interior(ws, chi)
-    gale = gale_dual(ws)
-    interior_subsets = []
-    for subset in combinations(range(ws.r), ws.rho):
-        rows = [tuple(ws.columns[j][t] for j in subset) for t in range(ws.rho)]
-        if det(rows) == 0:
-            continue
-        coeffs = solve_rational(rows, chi)
-        if coeffs is not None and all(a > 0 for a in coeffs):
-            interior_subsets.append(subset)
-    if not interior_subsets:
-        raise InvariantViolationError(
-            f"chamber-interior character {chi} lies in no simplicial column cone"
+    if not ws.simplicial_cones:
+        raise RankDeficientWeightsError(
+            f"weight matrix has rank below {ws.rho}; no chamber is full-dimensional"
         )
+    semistable = False
+    wall = None
+    interior_subsets = []
+    for subset, normals in ws.simplicial_cones:
+        values = [dot(h, chi) for h in normals]
+        if min(values) >= 0:
+            semistable = True
+            if min(values) > 0:
+                interior_subsets.append(subset)
+        if wall is None and 0 in values:
+            wall = normals[values.index(0)]
+    if not semistable:
+        raise EmptySemistableLocusError(
+            f"character {chi} lies outside the semistable cone; no semistable points"
+        )
+    if wall is not None:
+        raise DegenerateLinearizationError(
+            f"character {chi} lies on a wall or on the boundary of the semistable "
+            f"cone: the hyperplane with normal {wall}"
+        )
+    gale = gale_dual(ws)
     complements = [
         tuple(i for i in range(ws.r) if i not in s) for s in interior_subsets
     ]
@@ -301,18 +323,13 @@ def quotient_fan_data(ws: WeightSystem, chi, validate: bool = True) -> QuotientD
         [tuple(position[i] for i in c) for c in complements],
         ambient_dim=ws.r - ws.rho,
     )
-    if validate:
-        report = validate_fan(fan)
-        if not report.ok:
-            raise InvariantViolationError(
-                "quotient fan failed validation: " + "; ".join(report.issues)
-            )
+    report = validate_fan(fan)
+    if not report.ok:
+        raise InvariantViolationError(
+            "quotient fan failed validation: " + "; ".join(report.issues)
+        )
     dropped = tuple(i for i in range(ws.r) if i not in position)
     return QuotientData(fan, tuple(used), dropped)
-
-
-def quotient_fan(ws: WeightSystem, chi, validate: bool = True) -> Fan:
-    return quotient_fan_data(ws, chi, validate=validate).fan
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from .cones import (
     Cone,
     adjacent_pairs,
     cone_from_generators,
+    cone_from_inequalities,
     intersect,
     sign_mask,
     split_by_hyperplanes,
@@ -26,7 +27,7 @@ from .errors import (
     InvariantViolationError,
     RankDeficientWeightsError,
 )
-from .linalg import IntVec, det, dot, rank_of
+from .linalg import IntVec, dot
 from .toric import (
     QuotientData,
     WeightSystem,
@@ -101,24 +102,18 @@ class ChamberComplex:
 
 
 def _simplicial_cross_check(ws: WeightSystem, chamber: Chamber) -> None:
-    pieces = []
-    for subset in combinations(range(ws.r), ws.rho):
-        rows = [[ws.columns[j][t] for j in subset] for t in range(ws.rho)]
-        if det(rows) == 0:
-            continue
-        cone = cone_from_generators(
-            [ws.columns[j] for j in subset], ambient_dim=ws.rho
-        )
-        if cone.contains(chamber.representative) != "outside":
-            pieces.append(cone)
-    if not pieces:
+    rep = chamber.representative
+    facets = [
+        h
+        for _, normals in ws.simplicial_cones
+        if all(dot(n, rep) >= 0 for n in normals)
+        for h in normals
+    ]
+    if not facets:
         raise InvariantViolationError(
-            f"chamber representative {chamber.representative} lies in no simplicial column cone"
+            f"chamber representative {rep} lies in no simplicial column cone"
         )
-    expected = pieces[0]
-    for c in pieces[1:]:
-        expected = intersect(expected, c)
-    if expected != chamber.cone:
+    if cone_from_inequalities(facets, ambient_dim=ws.rho) != chamber.cone:
         raise InvariantViolationError(
             f"chamber {chamber.id} disagrees with the intersection of simplicial "
             "column cones: the candidate hyperplanes strictly refine the coarsest "
@@ -135,8 +130,7 @@ def enumerate_chambers(ws: WeightSystem, cross_check: bool | None = None) -> Cha
     intersection of the simplicial column cones containing its
     representative.
     """
-    w_rows = [tuple(c[j] for c in ws.columns) for j in range(ws.rho)]
-    if rank_of(w_rows) < ws.rho:
+    if not ws.simplicial_cones:
         raise RankDeficientWeightsError(
             f"weight matrix has rank below {ws.rho}; no chamber is full-dimensional"
         )

@@ -187,3 +187,46 @@ def exceptional_count_by_subsets(n: int, wall_subsets, signs) -> int:
             if sign < 0:
                 count += 1
     return count
+
+
+def spanned_hyperplanes(columns, rho: int):
+    """Sign-normalized primitive normals of the hyperplanes spanned by columns.
+
+    Tries every (rho-1)-subset of columns, keeps those of rank rho-1 (some
+    maximal minor is nonzero), and solves for the normal of each.
+    """
+    normals = set()
+    for sub in combinations(columns, rho - 1):
+        minors = (
+            _det([[v[k] for k in keep] for v in sub])
+            for keep in combinations(range(rho), rho - 1)
+        )
+        if not any(minors):
+            continue
+        normal = _solve_nullvector(list(sub), rho)
+        if next(c for c in normal if c) < 0:
+            normal = tuple(-c for c in normal)
+        normals.add(normal)
+    return sorted(normals)
+
+
+def cramer_coefficients(columns, chi):
+    """Coefficients of chi in each nonsingular len(chi)-subset of columns.
+
+    Maps each subset (sorted column indices) to the exact solution of
+    sum_p x_p * column_p = chi by Cramer's rule.  chi lies in the closed
+    simplicial cone of a subset when every coefficient is >= 0, and in its
+    interior when every coefficient is > 0.  Empty when the columns do not
+    span.
+    """
+    rho = len(chi)
+    out = {}
+    for subset in combinations(range(len(columns)), rho):
+        cols = [list(columns[j]) for j in subset]
+        d = _det(cols)
+        if d == 0:
+            continue
+        out[subset] = tuple(
+            _det(cols[:p] + [list(chi)] + cols[p + 1:]) / d for p in range(rho)
+        )
+    return out

@@ -36,7 +36,7 @@ from mdsgit.npoints import (
     rho_constant,
     verify_rho_formula,
 )
-from mdsgit.toric import canonicalize_fan, cox_weights, g_ample_cone, quotient_fan, unstable_locus, wall_hyperplanes
+from mdsgit.toric import canonicalize_fan, cox_weights, g_ample_cone, quotient_fan_data, unstable_locus, wall_hyperplanes
 from mdsgit.vgit import enumerate_chambers
 from oracles import count_chambers_bruteforce
 
@@ -98,7 +98,7 @@ def test_acceptance_1_round_trip(fan_complexes, capsys):
     for name, fan, cx in fan_complexes:
         ws = cx.weights
         chi = nef_chamber(cx, fan).representative
-        rebuilt = quotient_fan(ws, chi)
+        rebuilt = quotient_fan_data(ws, chi).fan
         if canonicalize_fan(rebuilt) != canonicalize_fan(fan):
             failures.append(f"{name}: quotient fan differs from the input fan")
     _report(capsys, 1, "round-trip reconstruction over the ten-fan library", failures)

@@ -99,13 +99,17 @@ def test_quotient(blp2_file, capsys):
     assert data["unstable_min_codim"] == 1
 
 
-def test_quotient_exit_codes(blp2_file, capsys):
+def test_quotient_exit_codes(blp2_file, tmp_path, capsys):
     assert main(["quotient", blp2_file, "--chi=-1,0"]) == 3  # outside
     assert main(["quotient", blp2_file, "--chi", "1,0"]) == 4  # on the wall
     assert main(["quotient", blp2_file, "--chi", "0,1"]) == 4  # on the boundary
     assert main(["quotient", blp2_file, "--chi", "1,2,3"]) == 2  # wrong length
     assert main(["quotient", blp2_file, "--chi", "a,b"]) == 2
     capsys.readouterr()
+    rank_deficient = tmp_path / "rank_deficient.json"
+    rank_deficient.write_text(json.dumps({"weights": {"columns": [[1, 0], [2, 0], [-1, 0]]}}))
+    assert main(["quotient", str(rank_deficient), "--chi=1,0"]) == 3
+    assert "rank below 2" in capsys.readouterr().err
 
 
 def test_factor(blp2_file, capsys):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     blown_up_plane,
@@ -19,7 +21,7 @@ from mdsgit.errors import (
     EmptySemistableLocusError,
     InvalidFanError,
 )
-from mdsgit.linalg import vadd, vscale
+from mdsgit.linalg import dot, vadd, vscale
 from mdsgit.toric import (
     canonicalize_fan,
     cox_weights,
@@ -27,12 +29,13 @@ from mdsgit.toric import (
     gale_dual,
     is_complete,
     make_fan,
-    quotient_fan,
+    quotient_fan_data,
     unstable_locus,
     validate_fan,
     wall_hyperplanes,
     weight_system,
 )
+from oracles import cramer_coefficients, spanned_hyperplanes
 
 LIBRARY = [
     projective_plane,
@@ -175,23 +178,59 @@ def test_quotient_round_trip(library_fan):
     cx = enumerate_chambers(ws)
     rep = nef_chamber(cx, library_fan).representative
     rep = tuple(int(x) for x in rep)
-    assert canonicalize_fan(quotient_fan(ws, rep)) == canonicalize_fan(library_fan)
+    assert canonicalize_fan(quotient_fan_data(ws, rep).fan) == canonicalize_fan(library_fan)
 
 
 def test_quotient_divisorial_side_is_plane():
     ws = cox_weights(blown_up_plane())
-    qf = quotient_fan(ws, (1, 1))
+    qf = quotient_fan_data(ws, (1, 1)).fan
     assert canonicalize_fan(qf) == canonicalize_fan(projective_plane())
 
 
 def test_quotient_rejects_degenerate_characters():
     ws = cox_weights(blown_up_plane())
     with pytest.raises(EmptySemistableLocusError):
-        quotient_fan(ws, (-1, 0))
+        quotient_fan_data(ws, (-1, 0))
     with pytest.raises(DegenerateLinearizationError):
-        quotient_fan(ws, (1, 0))  # on the interior wall
+        quotient_fan_data(ws, (1, 0))  # on the interior wall
     with pytest.raises(DegenerateLinearizationError):
-        quotient_fan(ws, (0, 1))  # on the boundary of the ample cone
+        quotient_fan_data(ws, (0, 1))  # on the boundary of the ample cone
+
+
+@st.composite
+def weights_and_character(draw):
+    rho = draw(st.integers(2, 4))
+    r = draw(st.integers(rho, 6))
+    column = st.tuples(*[st.integers(-2, 2)] * rho)
+    columns = draw(st.lists(column, min_size=r, max_size=r))
+    chi = draw(st.tuples(*[st.integers(-3, 3)] * rho))
+    return columns, chi
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights_and_character())
+def test_walls_and_quotients_against_oracles(case):
+    columns, chi = case
+    coefficients = cramer_coefficients(columns, chi)
+    assume(coefficients)  # full rank
+    ws = weight_system(columns)
+    hyperplanes = spanned_hyperplanes(columns, len(chi))
+    assert list(wall_hyperplanes(ws)) == hyperplanes
+    semistable = any(min(x) >= 0 for x in coefficients.values())
+    if not semistable:
+        with pytest.raises(EmptySemistableLocusError):
+            quotient_fan_data(ws, chi)
+    elif any(dot(h, chi) == 0 for h in hyperplanes):
+        with pytest.raises(DegenerateLinearizationError):
+            quotient_fan_data(ws, chi)
+    else:
+        data = quotient_fan_data(ws, chi)
+        cones = {tuple(data.used_columns[i] for i in c) for c in data.fan.max_cones}
+        assert cones == {
+            tuple(j for j in range(ws.r) if j not in subset)
+            for subset, x in coefficients.items()
+            if min(x) > 0
+        }
 
 
 def test_unstable_locus_frozen():

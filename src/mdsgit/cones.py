@@ -10,11 +10,20 @@ The conversion engine is an incremental double-description method that
 supports lineality directly and tracks zero-sets of processed inequalities
 as bitmasks, so the adjacency test used when splitting rays is purely
 combinatorial and exact.
+
+Splitting a full-dimensional cone along a hyperplane arrangement cuts each
+crossed cell into both of its sides in one pass: the hyperplane's values on
+the cell's rays are computed once, the new rays on the hyperplane (or the
+pivot projection, when the hyperplane is nonzero on the lineality) are
+shared by the two children, and a cardinality bound on common zero bits
+prunes ray pairs before the combinatorial adjacency test (Fukuda-Prodon,
+*Double description method revisited*, 1996).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import DimensionMismatchError, InvariantViolationError
 from .linalg import (
@@ -114,14 +123,6 @@ class _DDState:
     def full_space(cls, dim: int) -> _DDState:
         st = cls(dim)
         st.lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-        return st
-
-    def copy(self) -> _DDState:
-        st = _DDState(self.dim)
-        st.lin = list(self.lin)
-        st.rays = list(self.rays)
-        st.masks = list(self.masks)
-        st.nbits = self.nbits
         return st
 
     def insert(self, c: IntVec, equation: bool) -> None:
@@ -357,6 +358,80 @@ class SplitCell:
     signs: tuple[int, ...]
 
 
+def _cell(dim, lin, rays, masks, nbits) -> _DDState:
+    st = _DDState(dim)
+    st.lin, st.rays, st.masks, st.nbits = lin, rays, masks, nbits
+    return st
+
+
+def _cut_lineality(state: _DDState, h, lin_vals) -> tuple[_DDState, _DDState]:
+    """Both sides of h in a cell whose lineality h does not vanish on.
+
+    The pivot projection runs once, on state itself; the two sides differ
+    only in the appended ray, +pivot or -pivot.
+    """
+    p = next(i for i, v in enumerate(lin_vals) if v)
+    state._insert_pivot(h, False, p, lin_vals[p])
+    rays = state.rays[:-1] + [vneg(state.rays[-1])]
+    return state, _cell(state.dim, list(state.lin), rays, list(state.masks), state.nbits)
+
+
+def _cut_rays(state: _DDState, vals) -> tuple[_DDState, _DDState]:
+    """Both sides of a hyperplane h with values vals on the cell's rays.
+
+    h vanishes on the lineality and takes both signs on the rays.  Rays
+    with h = 0 go to both children, positive rays to the + child and
+    negative rays to the - child.  The new rays on h come from adjacent
+    (positive, negative) pairs and are computed once for both children.
+    Adjacent extreme rays of a pointed cone of dimension d share at least
+    d - 2 tight constraints, so pairs with fewer common zero bits are
+    skipped before the combinatorial test.
+    """
+    rays, masks = state.rays, state.masks
+    bit = 1 << state.nbits
+    pos, neg = [], []
+    pos_rays, pos_masks, neg_rays, neg_masks = [], [], [], []
+    for i, v in enumerate(vals):
+        if v > 0:
+            pos.append(i)
+            pos_rays.append(rays[i])
+            pos_masks.append(masks[i])
+        elif v < 0:
+            neg.append(i)
+            neg_rays.append(rays[i])
+            neg_masks.append(masks[i])
+        else:
+            m = masks[i] | bit
+            pos_rays.append(rays[i])
+            pos_masks.append(m)
+            neg_rays.append(rays[i])
+            neg_masks.append(m)
+    need = state.dim - len(state.lin) - 2
+    for i in pos:
+        mi = masks[i]
+        ri = rays[i]
+        vi = vals[i]
+        for j in neg:
+            common = mi & masks[j]
+            if common.bit_count() < need:
+                continue
+            # adjacent unless a third ray is zero on every common constraint
+            if sum(1 for m in masks if common & m == common) > 2:
+                continue
+            vj = vals[j]
+            w = primitive(tuple(vi * y - vj * x for x, y in zip(ri, rays[j])))
+            m = common | bit
+            pos_rays.append(w)
+            neg_rays.append(w)
+            pos_masks.append(m)
+            neg_masks.append(m)
+    nbits = state.nbits + 1
+    return (
+        _cell(state.dim, state.lin, pos_rays, pos_masks, nbits),
+        _cell(state.dim, list(state.lin), neg_rays, neg_masks, nbits),
+    )
+
+
 def split_by_hyperplanes(cone: Cone, hyperplanes) -> tuple[SplitCell, ...]:
     """Full-dimensional cells of the arrangement of hyperplanes inside a cone.
 
@@ -367,34 +442,39 @@ def split_by_hyperplanes(cone: Cone, hyperplanes) -> tuple[SplitCell, ...]:
     if not cone.is_full_dim:
         raise InvariantViolationError("splitting requires a full-dimensional cone")
     _check_vectors(hyperplanes, cone.ambient_dim)
-    cells: list[tuple[_DDState, list[int]]] = [(_state_from_cone(cone), [])]
-    for h in hyperplanes:
+    cells: list[tuple[_DDState, int]] = [(_state_from_cone(cone), 0)]
+    for k, h in enumerate(hyperplanes):
         h = tuple(h)
         if is_zero(h):
             raise InvariantViolationError("zero vector is not a hyperplane normal")
-        nxt: list[tuple[_DDState, list[int]]] = []
+        bit = 1 << k
+        nxt: list[tuple[_DDState, int]] = []
         for state, signs in cells:
-            crosses_lin = any(dot(h, l) != 0 for l in state.lin)
-            vals = [dot(h, r) for r in state.rays]
-            has_pos = crosses_lin or any(v > 0 for v in vals)
-            has_neg = crosses_lin or any(v < 0 for v in vals)
-            if has_pos and has_neg:
-                pos_state = state.copy()
-                pos_state.insert(h, equation=False)
-                state.insert(vneg(h), equation=False)
-                nxt.append((pos_state, signs + [1]))
-                nxt.append((state, signs + [-1]))
-            elif has_pos:
-                nxt.append((state, signs + [1]))
-            elif has_neg:
-                nxt.append((state, signs + [-1]))
+            lin_vals = [sum(map(mul, h, l)) for l in state.lin]
+            if any(lin_vals):
+                pos, neg = _cut_lineality(state, h, lin_vals)
+                nxt += ((pos, signs | bit), (neg, signs))
+                continue
+            vals = [sum(map(mul, h, r)) for r in state.rays]
+            hi = max(vals, default=0)
+            lo = min(vals, default=0)
+            if hi > 0 and lo < 0:
+                pos, neg = _cut_rays(state, vals)
+                nxt += ((pos, signs | bit), (neg, signs))
+            elif hi > 0:
+                nxt.append((state, signs | bit))
+            elif lo < 0:
+                nxt.append((state, signs))
             else:
-                raise InvariantViolationError(
-                    "hyperplane vanishes on a full-dimensional cell"
-                )
+                raise InvariantViolationError("hyperplane vanishes on a full-dimensional cell")
         cells = nxt
+    n = len(hyperplanes)
     return tuple(
-        SplitCell(tuple(state.rays), tuple(state.lin), tuple(signs))
+        SplitCell(
+            tuple(state.rays),
+            tuple(state.lin),
+            tuple(1 if signs >> k & 1 else -1 for k in range(n)),
+        )
         for state, signs in cells
     )
 

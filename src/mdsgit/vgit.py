@@ -208,17 +208,36 @@ class CoverReport:
     issues: tuple[str, ...]
 
 
+def _closed_sides(cone: Cone, hyperplanes) -> tuple[int, int]:
+    """Bitmasks of the hyperplanes with the cone on their closed >= 0 and <= 0 sides."""
+    ge = le = 0
+    for k, h in enumerate(hyperplanes):
+        if any(dot(h, l) for l in cone.lineality):
+            continue
+        vals = [dot(h, g) for g in cone.generators]
+        if all(v >= 0 for v in vals):
+            ge |= 1 << k
+        if all(v <= 0 for v in vals):
+            le |= 1 << k
+    return ge, le
+
+
 def verify_disjoint_cover(complex_: ChamberComplex) -> CoverReport:
     """Verify chambers have disjoint interiors and account for every facet.
 
     Checks: pairwise intersections of chambers are lower-dimensional, each
     representative is interior to exactly its own chamber, wall relative
     interiors touch exactly their two chambers, and boundary facet relative
-    interiors touch exactly one chamber.
+    interiors touch exactly one chamber.  A pair of chambers on opposite
+    closed sides of one of the complex's hyperplanes needs no intersection;
+    any other pair is intersected.
     """
     issues = []
     chambers = complex_.chambers
-    for a, b in combinations(chambers, 2):
+    sides = [_closed_sides(ch.cone, complex_.hyperplanes) for ch in chambers]
+    for (a, (a_ge, a_le)), (b, (b_ge, b_le)) in combinations(zip(chambers, sides), 2):
+        if a_ge & b_le or a_le & b_ge:
+            continue
         common = intersect(a.cone, b.cone)
         if common.is_full_dim:
             issues.append(f"chambers {a.id} and {b.id} overlap in full dimension")

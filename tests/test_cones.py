@@ -171,3 +171,24 @@ def test_split_count_matches_bruteforce(hyps):
 def _crosses(h):
     # keep hyperplanes that do not contain the open octant entirely on one side
     return not (all(x >= 0 for x in h) or all(x <= 0 for x in h))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(), ((0, 0, 1),)]),
+    st.lists(
+        st.tuples(*[st.integers(min_value=-3, max_value=3)] * 3).filter(any),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_split_with_lineality_matches_oracle(base_ineqs, hyps):
+    # the whole space and a half-space: every cut starts on a cell with lineality
+    base = cone_from_inequalities(base_ineqs, ambient_dim=3)
+    assert base.lineality
+    cells = split_by_hyperplanes(base, hyps)
+    assert len(cells) == count_chambers_bruteforce(hyps, base_ineqs, 3)
+    for cell in cells:
+        sided = [tuple(s * x for x in h) for s, h in zip(cell.signs, hyps)]
+        expected = cone_from_inequalities(list(base_ineqs) + sided, ambient_dim=3)
+        assert cone_from_generators(cell.rays, cell.lineality, ambient_dim=3) == expected

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,6 +155,19 @@ def test_cover_verification(maker):
     ws = made if hasattr(made, "columns") else cox_weights(made)
     report = verify_disjoint_cover(enumerate_chambers(ws))
     assert report.ok, report.issues
+
+
+def test_cover_verification_reports_overlap():
+    # chamber 0 widened to the whole ample cone overlaps every other chamber
+    cx = enumerate_chambers(cox_weights(twice_blown_up_plane()))
+    widened = replace(cx.chambers[0], cone=cx.g_ample)
+    broken = replace(cx, chambers=(widened,) + cx.chambers[1:])
+    report = verify_disjoint_cover(broken)
+    assert not report.ok
+    overlaps = {issue for issue in report.issues if "overlap" in issue}
+    assert overlaps == {
+        f"chambers 0 and {j} overlap in full dimension" for j in range(1, len(cx.chambers))
+    }
 
 
 small = st.integers(min_value=-2, max_value=2)

@@ -32,6 +32,7 @@ from .errors import (
     MdsgitError,
     RankDeficientWeightsError,
 )
+from .linalg import primitive
 from .mori import (
     classify_boundary_facet,
     classify_wall,
@@ -94,6 +95,10 @@ def _load_input(path: str) -> LoadedInput:
             if isinstance(section, dict) else None
         if not isinstance(section, dict) or "rays" not in section or cones is None:
             _fail("fan input needs 'rays' and 'cones'")
+        # make_fan rescales to primitive; input rays must already be primitive
+        for i, ray in enumerate(section["rays"]):
+            if primitive(ray) != tuple(ray):
+                raise InvalidFanError(f"ray {i} {_vec(ray)} is not primitive")
         fan = make_fan(section["rays"], cones)
         report = validate_fan(fan)
         if not report.ok:

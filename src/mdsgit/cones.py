@@ -62,14 +62,6 @@ class Cone:
         return self.ambient_dim - len(self.equations)
 
     @property
-    def lineality_dim(self) -> int:
-        return len(self.lineality)
-
-    @property
-    def is_pointed(self) -> bool:
-        return not self.lineality
-
-    @property
     def is_full_dim(self) -> bool:
         return not self.equations
 
@@ -349,13 +341,15 @@ def minkowski_sum(a: Cone, b: Cone) -> Cone:
 class SplitCell:
     """One full-dimensional cell of a hyperplane arrangement restricted to a cone.
 
-    signs[k] is +1 or -1: the strict side of hyperplane k containing the
-    cell's interior.  rays and lineality generate the closed cell.
+    The cell's name is its sign mask: bit k of mask is set when the cell's
+    interior lies on the strict positive side of hyperplane k, and clear
+    when it lies on the negative side.  rays and lineality generate the
+    closed cell.
     """
 
     rays: tuple[IntVec, ...]
     lineality: tuple[IntVec, ...]
-    signs: tuple[int, ...]
+    mask: int
 
 
 def _cell(dim, lin, rays, masks, nbits) -> _DDState:
@@ -435,9 +429,9 @@ def _cut_rays(state: _DDState, vals) -> tuple[_DDState, _DDState]:
 def split_by_hyperplanes(cone: Cone, hyperplanes) -> tuple[SplitCell, ...]:
     """Full-dimensional cells of the arrangement of hyperplanes inside a cone.
 
-    The starting cone must be full-dimensional.  Each cell is assigned one
-    strict sign per hyperplane; every returned cell is full-dimensional, and
-    the cells cover the cone with disjoint interiors.
+    The starting cone must be full-dimensional.  Each cell is named by its
+    sign mask over the hyperplanes; every returned cell is full-dimensional,
+    and the cells cover the cone with disjoint interiors.
     """
     if not cone.is_full_dim:
         raise InvariantViolationError("splitting requires a full-dimensional cone")
@@ -449,49 +443,26 @@ def split_by_hyperplanes(cone: Cone, hyperplanes) -> tuple[SplitCell, ...]:
             raise InvariantViolationError("zero vector is not a hyperplane normal")
         bit = 1 << k
         nxt: list[tuple[_DDState, int]] = []
-        for state, signs in cells:
+        for state, mask in cells:
             lin_vals = [sum(map(mul, h, l)) for l in state.lin]
             if any(lin_vals):
                 pos, neg = _cut_lineality(state, h, lin_vals)
-                nxt += ((pos, signs | bit), (neg, signs))
+                nxt += ((pos, mask | bit), (neg, mask))
                 continue
             vals = [sum(map(mul, h, r)) for r in state.rays]
             hi = max(vals, default=0)
             lo = min(vals, default=0)
             if hi > 0 and lo < 0:
                 pos, neg = _cut_rays(state, vals)
-                nxt += ((pos, signs | bit), (neg, signs))
+                nxt += ((pos, mask | bit), (neg, mask))
             elif hi > 0:
-                nxt.append((state, signs | bit))
+                nxt.append((state, mask | bit))
             elif lo < 0:
-                nxt.append((state, signs))
+                nxt.append((state, mask))
             else:
                 raise InvariantViolationError("hyperplane vanishes on a full-dimensional cell")
         cells = nxt
-    n = len(hyperplanes)
-    return tuple(
-        SplitCell(
-            tuple(state.rays),
-            tuple(state.lin),
-            tuple(1 if signs >> k & 1 else -1 for k in range(n)),
-        )
-        for state, signs in cells
-    )
-
-
-def sign_mask(hyperplanes, point) -> int:
-    """Name the arrangement cell of a point: bit k is set when hyperplane k is positive on it.
-
-    Raises InvariantViolationError when the point lies on a hyperplane.
-    """
-    mask = 0
-    for k, h in enumerate(hyperplanes):
-        s = dot(h, point)
-        if s == 0:
-            raise InvariantViolationError(f"point {tuple(point)} lies on hyperplane {k}")
-        if s > 0:
-            mask |= 1 << k
-    return mask
+    return tuple(SplitCell(tuple(state.rays), tuple(state.lin), mask) for state, mask in cells)
 
 
 def adjacent_pairs(masks, nbits: int) -> tuple[tuple[int, int, int], ...]:

@@ -17,7 +17,6 @@ from typing import NamedTuple
 from .errors import DimensionMismatchError
 
 IntVec = tuple[int, ...]
-RatVec = tuple[Fraction, ...]
 IntRows = tuple[IntVec, ...]
 
 
@@ -300,16 +299,6 @@ def smith_normal_form(rows) -> SNF:
         tuple(tuple(r) for r in u),
         tuple(tuple(r) for r in v),
     )
-
-
-def elementary_divisors(rows) -> tuple[int, ...]:
-    """Nonzero diagonal entries of the Smith form."""
-    d = smith_normal_form(rows).d
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i] != 0:
-            out.append(d[i][i])
-    return tuple(out)
 
 
 def hermite_normal_form(rows) -> IntRows:

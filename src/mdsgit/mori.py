@@ -18,7 +18,6 @@ from .cones import (
     cone_from_inequalities,
     intersect,
     minkowski_sum,
-    sign_mask,
 )
 from .errors import DegenerateLinearizationError, InvariantViolationError
 from .linalg import IntVec, dot
@@ -294,20 +293,23 @@ def _interior_chamber(complex_: ChamberComplex, chi, label: str) -> int:
     return loc.chamber
 
 
-def factor_contraction(complex_: ChamberComplex, chi_from, chi_to) -> Factorization:
-    """Factor the birational map between two chambers into wall crossings.
+def _segment_walk(
+    complex_: ChamberComplex, chi_from, chi_to
+) -> tuple[tuple[int, ...], tuple[Wall, ...], tuple[Fraction, ...]]:
+    """Chambers, walls and crossing times along the segment between two characters.
 
-    Walks the straight segment between the two characters; if the segment
-    meets two candidate walls at the same parameter, the target endpoint is
-    perturbed along a moment curve (staying inside its chamber) until all
-    crossing parameters are distinct.  crossing_times then refer to the
-    perturbed segment, so they stay strictly increasing.
+    If the segment meets two candidate walls at the same parameter, the
+    target endpoint is perturbed along a moment curve (staying inside its
+    chamber) until all crossing parameters are distinct.  The times then
+    refer to the perturbed segment, so they stay strictly increasing.  Each
+    crossing flips one bit of the current chamber's sign mask, and the
+    flipped mask names the next chamber.
     """
     ws = complex_.weights
     start = _interior_chamber(complex_, chi_from, "source")
     end = _interior_chamber(complex_, chi_to, "target")
     if start == end:
-        return Factorization((start,), (), ())
+        return (start,), (), ()
     p = tuple(int(x) for x in chi_from)
     q = tuple(int(x) for x in chi_to)
     hyps = complex_.hyperplanes
@@ -337,12 +339,12 @@ def factor_contraction(complex_: ChamberComplex, chi_from, chi_to) -> Factorizat
 
     events.sort()
     wall_by_pair = {frozenset((w.left, w.right)): w for w in complex_.walls}
-    chamber_by_mask = {sign_mask(hyps, ch.representative): ch.id for ch in complex_.chambers}
+    chamber_by_mask = {ch.mask: ch.id for ch in complex_.chambers}
 
     # each event flips the sign of exactly one hyperplane along the segment
-    mask = sign_mask(hyps, p)
+    mask = complex_.chambers[start].mask
     path = [start]
-    crossings = []
+    walls = []
     for _, k in events:
         mask ^= 1 << k
         nxt = chamber_by_mask.get(mask)
@@ -354,13 +356,25 @@ def factor_contraction(complex_: ChamberComplex, chi_from, chi_to) -> Factorizat
             raise InvariantViolationError(
                 f"consecutive chambers {cur} and {nxt} do not share a wall"
             )
-        crossing = classify_wall(complex_, wall)
-        if wall.left != cur:
-            crossing = _reverse_crossing(crossing)
-        crossings.append(crossing)
+        walls.append(wall)
         path.append(nxt)
     if path[-1] != end:
         raise InvariantViolationError(
             f"segment walk ended in chamber {path[-1]}, expected {end}"
         )
-    return Factorization(tuple(path), tuple(crossings), tuple(t for t, _ in events))
+    return tuple(path), tuple(walls), tuple(t for t, _ in events)
+
+
+def factor_contraction(complex_: ChamberComplex, chi_from, chi_to) -> Factorization:
+    """Factor the birational map between two chambers into wall crossings.
+
+    Walks the straight segment between the two characters (see
+    _segment_walk) and classifies each wall crossed, oriented in the
+    direction of travel.
+    """
+    path, walls, times = _segment_walk(complex_, chi_from, chi_to)
+    crossings = []
+    for cur, wall in zip(path, walls):
+        crossing = classify_wall(complex_, wall)
+        crossings.append(crossing if wall.left == cur else _reverse_crossing(crossing))
+    return Factorization(path, tuple(crossings), times)

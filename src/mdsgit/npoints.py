@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cones import adjacent_pairs, positive_orthant, sign_mask, split_by_hyperplanes
+from .cones import adjacent_pairs, positive_orthant, split_by_hyperplanes
 from .errors import InvariantViolationError
 from .linalg import IntVec
 
@@ -41,10 +41,14 @@ class LineWall:
 
 @dataclass(frozen=True)
 class LineChamber:
-    """A full-dimensional chamber of the subset-sum arrangement."""
+    """A full-dimensional chamber of the subset-sum arrangement.
+
+    Bit k of mask is set when the chamber lies on the positive side of
+    wall k, the side where its subset outweighs the complement.
+    """
 
     index: int
-    signs: tuple[int, ...]
+    mask: int
     representative: IntVec
     stable: bool
 
@@ -82,26 +86,25 @@ def build_config(n: int) -> LineConfig:
     if not 4 <= n <= MAX_N:
         raise ValueError(f"n must be between 4 and {MAX_N}, got {n}")
     walls = tuple(LineWall(s, _covector(n, s)) for s in _wall_subsets(n))
-    covectors = [w.covector for w in walls]
-    cells = sorted(split_by_hyperplanes(positive_orthant(n), covectors),
-                   key=lambda cell: cell.signs)
-    # singleton walls come first in the ordering
+    cells = sorted(split_by_hyperplanes(positive_orthant(n), [w.covector for w in walls]),
+                   key=lambda cell: cell.mask)
+    # the n singleton walls come first: bits 0 to n-1
+    singletons = (1 << n) - 1
     chambers = tuple(
-        LineChamber(i, cell.signs, tuple(map(sum, zip(*cell.rays))),
-                    all(s == -1 for s in cell.signs[:n]))
+        LineChamber(i, cell.mask, tuple(map(sum, zip(*cell.rays))),
+                    not cell.mask & singletons)
         for i, cell in enumerate(cells)
     )
     if sum(1 for ch in chambers if not ch.stable) != n:
         raise InvariantViolationError(
             f"expected exactly {n} unstable chambers for n={n}"
         )
-    masks = [sign_mask(covectors, ch.representative) for ch in chambers]
-    adjacency = adjacent_pairs(masks, len(walls))
+    adjacency = adjacent_pairs([ch.mask for ch in chambers], len(walls))
 
-    seed_signs = tuple(
-        1 if (1 in w.subset and len(w.subset) > 1) else -1 for w in walls
+    seed_mask = sum(
+        1 << k for k, w in enumerate(walls) if 1 in w.subset and len(w.subset) > 1
     )
-    seed = next((ch.index for ch in chambers if ch.signs == seed_signs), None)
+    seed = next((ch.index for ch in chambers if ch.mask == seed_mask), None)
     if seed is None:
         raise InvariantViolationError("seed sign vector is not realized by any chamber")
     return LineConfig(n, walls, chambers, adjacency, seed)
@@ -129,8 +132,8 @@ def exceptional_count(config: LineConfig, chamber) -> int:
         chamber = config.chambers[chamber]
     n = config.n
     count = 0
-    for w, s in zip(config.walls, chamber.signs):
-        size = len(w.subset) if s < 0 else n - len(w.subset)
+    for k, w in enumerate(config.walls):
+        size = n - len(w.subset) if chamber.mask >> k & 1 else len(w.subset)
         count += 3 <= size <= n - 2
     return count
 
@@ -161,10 +164,10 @@ def quotient_picard(config: LineConfig) -> tuple[int | None, ...]:
         cur = queue.pop()
         for nxt, w in neighbors.get(cur, ()):
             size = len(config.walls[w].subset)
-            if config.chambers[cur].signs[w] < 0:
-                value = rho[cur] + crossing_delta(n, size)
-            else:
+            if config.chambers[cur].mask >> w & 1:
                 value = rho[cur] - crossing_delta(n, size)
+            else:
+                value = rho[cur] + crossing_delta(n, size)
             if nxt in seen:
                 if rho[nxt] != value:
                     raise InvariantViolationError(

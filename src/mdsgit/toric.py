@@ -87,8 +87,9 @@ def _ray_cone(fan: Fan, indices) -> Cone:
 
 
 def validate_fan(fan: Fan) -> FanValidation:
-    """Check simpliciality, maximality, and the pairwise face-intersection property."""
-    issues = []
+    """Check ray usage, simpliciality, maximality, and pairwise face intersections."""
+    in_cones = set().union(*fan.max_cones)
+    issues = [f"ray {i} lies in no cone" for i in range(len(fan.rays)) if i not in in_cones]
     for c in fan.max_cones:
         rows = [fan.rays[i] for i in c]
         if rank_of(rows) != len(c):

@@ -19,7 +19,6 @@ from .cones import (
     cone_from_generators,
     cone_from_inequalities,
     intersect,
-    sign_mask,
     split_by_hyperplanes,
 )
 from .errors import (
@@ -44,11 +43,16 @@ _CROSS_CHECK_R = 8
 
 @dataclass(frozen=True)
 class Chamber:
-    """One full-dimensional chamber, with an integer interior representative."""
+    """One full-dimensional chamber, with an integer interior representative.
+
+    Bit k of mask is set when the chamber lies on the positive side of
+    the complex's hyperplane k.
+    """
 
     id: int
     cone: Cone
     representative: IntVec
+    mask: int
 
 
 @dataclass(frozen=True)
@@ -136,13 +140,16 @@ def enumerate_chambers(ws: WeightSystem, cross_check: bool | None = None) -> Cha
         )
     g = g_ample_cone(ws)
     hyps = wall_hyperplanes(ws)
-    cells = split_by_hyperplanes(g, hyps)
-    cones = sorted(
-        (cone_from_generators(cell.rays, cell.lineality, ambient_dim=ws.rho) for cell in cells),
-        key=lambda c: (c.generators, c.lineality),
+    cells = sorted(
+        (
+            (cone_from_generators(cell.rays, cell.lineality, ambient_dim=ws.rho), cell.mask)
+            for cell in split_by_hyperplanes(g, hyps)
+        ),
+        key=lambda cell: (cell[0].generators, cell[0].lineality),
     )
-    chambers = [Chamber(i, c, c.relative_interior_point()) for i, c in enumerate(cones)]
-    masks = [sign_mask(hyps, ch.representative) for ch in chambers]
+    chambers = [
+        Chamber(i, c, c.relative_interior_point(), mask) for i, (c, mask) in enumerate(cells)
+    ]
 
     if cross_check is None:
         cross_check = ws.rho <= _CROSS_CHECK_RHO and ws.r <= _CROSS_CHECK_R
@@ -152,13 +159,13 @@ def enumerate_chambers(ws: WeightSystem, cross_check: bool | None = None) -> Cha
 
     walls = []
     wall_facets: set[tuple[int, Cone]] = set()
-    for i, j, k in adjacent_pairs(masks, len(hyps)):
+    for i, j, k in adjacent_pairs([ch.mask for ch in chambers], len(hyps)):
         facet = intersect(chambers[i].cone, chambers[j].cone)
         if len(facet.equations) != 1:
             raise InvariantViolationError(
                 f"wall between chambers {i} and {j} is not codimension one"
             )
-        left, right = (i, j) if masks[j] >> k & 1 else (j, i)
+        left, right = (i, j) if chambers[j].mask >> k & 1 else (j, i)
         walls.append(Wall(left, right, hyps[k], facet))
         wall_facets.update(((i, facet), (j, facet)))
     walls.sort(key=lambda w: (w.left, w.right))

@@ -167,6 +167,11 @@ def single_flip_pairs(sign_vectors):
     return out
 
 
+def signs_of(mask: int, nbits: int) -> tuple[int, ...]:
+    """The +-1 sign vector of a sign mask: +1 where bit k is set, -1 elsewhere."""
+    return tuple(1 if mask >> k & 1 else -1 for k in range(nbits))
+
+
 def exceptional_count_by_subsets(n: int, wall_subsets, signs) -> int:
     """Subsets T of {1..n} with 3 <= |T| <= n-2 negative on a chamber.
 

@@ -241,7 +241,7 @@ def _two_path_witness(cfg, failures: list[str]) -> None:
         for a, b in zip(path, path[1:]):
             w = wall_of[a, b]
             delta = crossing_delta(cfg.n, len(cfg.walls[w].subset))
-            rho += delta if cfg.chambers[a].signs[w] < 0 else -delta
+            rho += -delta if cfg.chambers[a].mask >> w & 1 else delta
         return rho
 
     reference = quotient_picard(cfg)

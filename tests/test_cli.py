@@ -173,6 +173,21 @@ def test_invalid_fan_input(tmp_path, capsys):
     }))
     assert main(["chambers", str(bad_fan)]) == 3  # parses fine, fails validation
     assert "error" in capsys.readouterr().err
+    unused_ray = tmp_path / "unused.json"
+    unused_ray.write_text(json.dumps({
+        "fan": {"rays": [[1, 0], [0, 1], [-1, -1], [1, 1]],
+                "cones": [[0, 1], [1, 2], [0, 2]]}
+    }))
+    for command in ("chambers", "nef"):
+        assert main([command, str(unused_ray)]) == 3
+        assert "ray 3 lies in no cone" in capsys.readouterr().err
+    scaled_ray = tmp_path / "scaled.json"
+    scaled_ray.write_text(json.dumps({
+        "fan": {"rays": [[2, 0], [0, 1], [-1, -1]],
+                "cones": [[0, 1], [1, 2], [0, 2]]}
+    }))
+    assert main(["chambers", str(scaled_ray)]) == 3
+    assert "ray 0 (2, 0) is not primitive" in capsys.readouterr().err
 
 
 def test_cones_key_and_name(tmp_path, capsys):

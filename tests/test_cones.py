@@ -15,13 +15,17 @@ from mdsgit.cones import (
     intersect,
     minkowski_sum,
     positive_orthant,
-    sign_mask,
     split_by_hyperplanes,
     zero_cone,
 )
 from mdsgit.errors import InvariantViolationError
 from mdsgit.linalg import dot
-from oracles import brute_force_facets, count_chambers_bruteforce, single_flip_pairs
+from oracles import (
+    brute_force_facets,
+    count_chambers_bruteforce,
+    signs_of,
+    single_flip_pairs,
+)
 
 entries = st.integers(min_value=-5, max_value=5)
 
@@ -120,7 +124,7 @@ def test_split_known_counts():
     quad = positive_orthant(2)
     cells = split_by_hyperplanes(quad, [(1, -1)])
     assert len(cells) == 2
-    assert sorted(c.signs for c in cells) == [(-1,), (1,)]
+    assert sorted(c.mask for c in cells) == [0, 1]
     cells = split_by_hyperplanes(full_space(2), [(1, 0), (0, 1)])
     assert len(cells) == 4
     cells = split_by_hyperplanes(full_space(2), [(1, 0), (0, 1), (1, -1)])
@@ -135,15 +139,12 @@ def test_split_rejects_vanishing_hyperplane():
 
 def test_split_signs_are_strict():
     quad = positive_orthant(2)
-    for cell in split_by_hyperplanes(quad, [(1, -1), (2, -1)]):
+    hyps = [(1, -1), (2, -1)]
+    for cell in split_by_hyperplanes(quad, hyps):
         rep = tuple(sum(r[i] for r in cell.rays) for i in range(2))
-        for h, s in zip([(1, -1), (2, -1)], cell.signs):
+        for k, h in enumerate(hyps):
             d = dot(h, rep)
-            assert d != 0 and (d > 0) == (s > 0)
-    assert sign_mask([(1, -1), (2, -1)], (1, 3)) == 0
-    assert sign_mask([(1, -1), (2, -1)], (2, 3)) == 0b10
-    with pytest.raises(InvariantViolationError):
-        sign_mask([(1, -1), (2, -1)], (1, 1))
+            assert d != 0 and (d > 0) == bool(cell.mask >> k & 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -160,11 +161,14 @@ def test_split_count_matches_bruteforce(hyps):
     cells = split_by_hyperplanes(base, usable)
     expected = count_chambers_bruteforce(usable, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
     assert len(cells) == expected
-    assert len({c.signs for c in cells}) == len(cells)
-    reps = [tuple(map(sum, zip(*c.rays))) for c in cells]
-    masks = [sign_mask(usable, rep) for rep in reps]
-    pairs = adjacent_pairs(masks, len(usable))
-    assert set(pairs) == single_flip_pairs([c.signs for c in cells])
+    assert len({c.mask for c in cells}) == len(cells)
+    for c in cells:
+        # the stored mask is the side of each hyperplane the representative is on
+        rep = tuple(map(sum, zip(*c.rays)))
+        assert all(dot(h, rep) != 0 for h in usable)
+        assert c.mask == sum(1 << k for k, h in enumerate(usable) if dot(h, rep) > 0)
+    pairs = adjacent_pairs([c.mask for c in cells], len(usable))
+    assert set(pairs) == single_flip_pairs([signs_of(c.mask, len(usable)) for c in cells])
     assert list(pairs) == sorted(pairs)
 
 
@@ -189,6 +193,6 @@ def test_split_with_lineality_matches_oracle(base_ineqs, hyps):
     cells = split_by_hyperplanes(base, hyps)
     assert len(cells) == count_chambers_bruteforce(hyps, base_ineqs, 3)
     for cell in cells:
-        sided = [tuple(s * x for x in h) for s, h in zip(cell.signs, hyps)]
+        sided = [tuple(s * x for x in h) for s, h in zip(signs_of(cell.mask, len(hyps)), hyps)]
         expected = cone_from_inequalities(list(base_ineqs) + sided, ambient_dim=3)
         assert cone_from_generators(cell.rays, cell.lineality, ambient_dim=3) == expected

@@ -16,7 +16,12 @@ from mdsgit.npoints import (
     rho_constant,
     verify_rho_formula,
 )
-from oracles import count_chambers_bruteforce, exceptional_count_by_subsets, single_flip_pairs
+from oracles import (
+    count_chambers_bruteforce,
+    exceptional_count_by_subsets,
+    signs_of,
+    single_flip_pairs,
+)
 
 FROZEN = {
     # n: (walls, chambers, stable)
@@ -92,16 +97,16 @@ def test_representatives_realize_signs(configs, n):
     cfg = configs[n]
     for ch in cfg.chambers:
         assert all(x > 0 for x in ch.representative)
-        for w, s in zip(cfg.walls, ch.signs):
+        for k, w in enumerate(cfg.walls):
             d = dot(w.covector, ch.representative)
-            assert d != 0 and (d > 0) == (s > 0)
+            assert d != 0 and (d > 0) == bool(ch.mask >> k & 1)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_stability_matches_singleton_signs(configs, n):
     cfg = configs[n]
     for ch in cfg.chambers:
-        singleton_ok = all(ch.signs[i] == -1 for i in range(n))
+        singleton_ok = all(not ch.mask >> i & 1 for i in range(n))
         assert ch.stable == singleton_ok
 
 
@@ -113,7 +118,7 @@ def test_seed_chamber(configs):
         rho = quotient_picard(cfg)
         assert rho[cfg.seed_index] == 1
         assert exceptional_count(cfg, seed) == rho_constant(n) - 1
-    assert configs[4].chambers[configs[4].seed_index].signs == (
+    assert signs_of(configs[4].chambers[configs[4].seed_index].mask, 7) == (
         -1, -1, -1, -1, 1, 1, 1,
     )
 
@@ -170,10 +175,13 @@ def _normalized(rep):
 def test_adjacency_is_single_sign_flip(configs, n):
     cfg = configs[n]
     for a, b, w in cfg.adjacency:
-        sa, sb = cfg.chambers[a].signs, cfg.chambers[b].signs
+        sa = signs_of(cfg.chambers[a].mask, len(cfg.walls))
+        sb = signs_of(cfg.chambers[b].mask, len(cfg.walls))
         diffs = [k for k in range(len(sa)) if sa[k] != sb[k]]
         assert diffs == [w]
-    assert set(cfg.adjacency) == single_flip_pairs([ch.signs for ch in cfg.chambers])
+    assert set(cfg.adjacency) == single_flip_pairs(
+        [signs_of(ch.mask, len(cfg.walls)) for ch in cfg.chambers]
+    )
     assert list(cfg.adjacency) == sorted(cfg.adjacency)
 
 
@@ -185,5 +193,5 @@ def test_exceptional_count_accepts_index_or_chamber(configs):
         cfg = configs[n]
         subsets = [w.subset for w in cfg.walls]
         for ch in cfg.chambers:
-            expected = exceptional_count_by_subsets(n, subsets, ch.signs)
+            expected = exceptional_count_by_subsets(n, subsets, signs_of(ch.mask, len(subsets)))
             assert exceptional_count(cfg, ch.index) == expected

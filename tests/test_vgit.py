@@ -20,6 +20,7 @@ from conftest import (
 )
 from mdsgit.errors import RankDeficientWeightsError
 from mdsgit.linalg import dot, rank_of
+from mdsgit.mori import _segment_walk
 from mdsgit.toric import cox_weights, g_ample_cone, wall_hyperplanes, weight_system
 from mdsgit.vgit import chamber_of, enumerate_chambers, verify_disjoint_cover
 from oracles import count_chambers_bruteforce
@@ -190,6 +191,17 @@ def test_random_weights_match_bruteforce(cols):
     )
     assert len(cx.chambers) == expected
     assert verify_disjoint_cover(cx).ok
+    # the segment walk of factor_contraction follows the stored sign masks:
+    # between any two chambers it starts and ends in the right ones, at
+    # strictly increasing times, across walls that join consecutive chambers
+    for a in cx.chambers:
+        for b in cx.chambers:
+            path, walls, times = _segment_walk(cx, a.representative, b.representative)
+            assert path[0] == a.id and path[-1] == b.id
+            assert all(s < t for s, t in zip(times, times[1:]))
+            assert len(walls) == len(times) == len(path) - 1
+            for cur, nxt, wall in zip(path, path[1:], walls):
+                assert {wall.left, wall.right} == {cur, nxt}
 
 
 def test_cross_check_detects_strict_refinement():

@@ -11,7 +11,8 @@ The key "max_cones" is accepted as an alias for "cones".  Exit codes:
 0 success, 1 failed verification or internal error, 2 usage or parse
 error, 3 validation error (invalid fan, rank-deficient weights, or a
 character with empty semistable locus), 4 degenerate linearization
-(the character sits on a wall instead of inside a chamber).
+(the character sits on a wall instead of inside a chamber), 141 standard
+output closed before the report was written (as for a SIGPIPE death).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,6 +65,18 @@ def _fail(message: str) -> None:
     raise ValueError(message)
 
 
+def _integer_rows(rows, what: str):
+    """rows itself when it is a list of lists of JSON integers, else a parse error."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        _fail(f"{what}s must be a list of lists of integers")
+    for i, row in enumerate(rows):
+        for x in row:
+            # bool is an int subclass, but true/false is not an integer entry
+            if type(x) is not int:
+                _fail(f"{what} {i} has the entry {json.dumps(x)}, expected an integer")
+    return rows
+
+
 @dataclass(frozen=True)
 class LoadedInput:
     weights: WeightSystem
@@ -95,11 +109,12 @@ def _load_input(path: str) -> LoadedInput:
             if isinstance(section, dict) else None
         if not isinstance(section, dict) or "rays" not in section or cones is None:
             _fail("fan input needs 'rays' and 'cones'")
+        rays = _integer_rows(section["rays"], "ray")
         # make_fan rescales to primitive; input rays must already be primitive
-        for i, ray in enumerate(section["rays"]):
+        for i, ray in enumerate(rays):
             if primitive(ray) != tuple(ray):
                 raise InvalidFanError(f"ray {i} {_vec(ray)} is not primitive")
-        fan = make_fan(section["rays"], cones)
+        fan = make_fan(rays, cones)
         report = validate_fan(fan)
         if not report.ok:
             raise InvalidFanError("; ".join(report.issues))
@@ -108,7 +123,8 @@ def _load_input(path: str) -> LoadedInput:
         section = data["weights"]
         if not isinstance(section, dict) or "columns" not in section:
             _fail("weights input needs 'columns'")
-        ws = weight_system(section["columns"], section.get("torsion", ()))
+        columns = _integer_rows(section["columns"], "weight column")
+        ws = weight_system(columns, section.get("torsion", ()))
         fan = None
     else:
         _fail("input must contain a 'fan' or a 'weights' key")
@@ -469,7 +485,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("m0n", cmd_m0n, "chamber bookkeeping for n points on a line",
             needs_input=False)
     p.add_argument("-n", "--n", dest="n", type=int, required=True,
-                   help=f"number of points (4 to {MAX_N})")
+                   help=f"number of points (4 to {MAX_N}); chambers are counted "
+                        "through their S_n orbits")
     return parser
 
 
@@ -477,7 +494,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # surface a closed pipe here rather than in the shutdown flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left; send the unwritten rest to devnull so the
+        # interpreter's own flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,23 +8,32 @@ stable chamber has a quotient whose Picard number rho satisfies
     rho + e = 2^(n-1) - n(n-1)/2 - 1
 
 where e counts the subsets T with 3 <= |T| <= n-2 whose covector is
-negative on the chamber.  rho is propagated from a distinguished seed
-chamber across walls by a local rule and the identity above is checked for
-every chamber.
+negative on the chamber.
+
+The symmetric group S_n permutes the points, the walls, the orthant and the
+stability condition, and leaves rho and e unchanged.  So only the sorted
+cone 0 <= x_1 <= ... <= x_n is split.  Each piece of it is the trace of one
+chamber and carries the size of that chamber's S_n orbit, and every count
+is weighted by it (the orbit reduction of Bremner, Dutour Sikiric and
+Schuermann, *Polyhedral representation conversion up to symmetries*,
+2009).  rho is propagated from a distinguished seed piece across the walls
+between pieces, and the identity above is checked on every piece.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import factorial, prod
 
-from .cones import adjacent_pairs, positive_orthant, split_by_hyperplanes
+from .cones import adjacent_pairs, cone_from_generators, split_by_hyperplanes
 from .errors import InvariantViolationError
-from .linalg import IntVec
+from .linalg import IntVec, hermite_normal_form
 
-# Largest n accepted.  n = 7 has 63 walls and 122,921 chambers; n = 8 has
-# not been seen to finish.
-MAX_N = 7
+# Largest n accepted.  n = 8 has 127 walls and 2,470 pieces, which stand for
+# 33,207,256 chambers, in about 1 s; at n = 9 the split of the sorted cone
+# alone takes about 90 s (2-core machine, CPython 3.11).
+MAX_N = 8
 
 
 @dataclass(frozen=True)
@@ -41,21 +50,24 @@ class LineWall:
 
 @dataclass(frozen=True)
 class LineChamber:
-    """A full-dimensional chamber of the subset-sum arrangement.
+    """A piece: the trace of one chamber on the sorted cone.
 
     Bit k of mask is set when the chamber lies on the positive side of
-    wall k, the side where its subset outweighs the complement.
+    wall k, the side where its subset outweighs the complement.  orbit is
+    the number of chambers in the chamber's S_n orbit, and representative
+    an interior point of the piece.
     """
 
     index: int
     mask: int
     representative: IntVec
     stable: bool
+    orbit: int
 
 
 @dataclass(frozen=True)
 class LineConfig:
-    """The full chamber configuration for n points."""
+    """The pieces of the sorted cone for n points, with their adjacency."""
 
     n: int
     walls: tuple[LineWall, ...]
@@ -77,36 +89,75 @@ def _covector(n: int, subset) -> IntVec:
     return tuple(1 if i in inside else -1 for i in range(1, n + 1))
 
 
-def build_config(n: int) -> LineConfig:
-    """Enumerate the chambers of the subset-sum arrangement for n points.
+def _orbit(n: int, rays) -> int:
+    """Number of chambers in the S_n orbit of the chamber of a piece.
 
-    The arrangement grows exponentially with n, so n is refused above
-    MAX_N before any work is done.
+    J is the set of braid walls x_i = x_{i+1} on which the piece P has a
+    facet, that is, on which its tight rays have rank n - 1 (the number of
+    rows of their Hermite form).  The runs of J join consecutive
+    coordinates into blocks, and the parabolic subgroup W_J is the product
+    of the blocks' symmetric groups.
+
+    The chamber C that contains the piece P is W_J-invariant: a braid facet
+    of P in J lies inside C and is not on any subset-sum wall, so its
+    reflection s_i maps C onto the chamber across that facet, which is C.
+    Hence C meets the |W_J| Weyl chambers w(sorted cone), w in W_J.  It
+    meets no other: a generic segment inside C from P into another Weyl
+    chamber would leave the sorted cone through a braid facet of P outside
+    J.  The stabilizer of C permutes the Weyl chambers that C meets and
+    contains W_J, so it is W_J, and the orbit of C has n!/|W_J| chambers.
+    """
+    blocks = [1]
+    for i in range(n - 1):
+        tight = [r for r in rays if r[i] == r[i + 1]]
+        if len(tight) >= n - 1 and len(hermite_normal_form(tight)) == n - 1:
+            blocks[-1] += 1
+        else:
+            blocks.append(1)
+    return factorial(n) // prod(map(factorial, blocks))
+
+
+def build_config(n: int) -> LineConfig:
+    """Split the sorted cone 0 <= x_1 <= ... <= x_n by the subset-sum walls.
+
+    No subset-sum wall is a braid hyperplane and chambers are convex, so
+    every piece is the trace of exactly one chamber and distinct pieces
+    lie in distinct S_n orbits.  The arrangement grows exponentially with
+    n, so n is refused above MAX_N before any work is done.
     """
     if not 4 <= n <= MAX_N:
         raise ValueError(f"n must be between 4 and {MAX_N}, got {n}")
     walls = tuple(LineWall(s, _covector(n, s)) for s in _wall_subsets(n))
-    cells = sorted(split_by_hyperplanes(positive_orthant(n), [w.covector for w in walls]),
+    sorted_cone = cone_from_generators(
+        [tuple(int(j >= i) for j in range(n)) for i in range(n)])
+    cells = sorted(split_by_hyperplanes(sorted_cone, [w.covector for w in walls]),
                    key=lambda cell: cell.mask)
     # the n singleton walls come first: bits 0 to n-1
     singletons = (1 << n) - 1
     chambers = tuple(
         LineChamber(i, cell.mask, tuple(map(sum, zip(*cell.rays))),
-                    not cell.mask & singletons)
+                    not cell.mask & singletons, _orbit(n, cell.rays))
         for i, cell in enumerate(cells)
     )
-    if sum(1 for ch in chambers if not ch.stable) != n:
+    if sum(ch.orbit for ch in chambers if not ch.stable) != n:
         raise InvariantViolationError(
             f"expected exactly {n} unstable chambers for n={n}"
         )
     adjacency = adjacent_pairs([ch.mask for ch in chambers], len(walls))
 
+    # The seed chamber, where point 1 is heavy, is positive exactly on the
+    # subsets of two or more points that contain 1 and on the complement of
+    # {1}.  The transposition (1 n) moves it into the sorted cone, where it
+    # is positive exactly on the subsets of two or more points that contain
+    # n, since no stored subset is the complement of a point.  A half-size
+    # wall stored by its side with 1, such as {1, 2} for n = 4, flips: its
+    # complement holds n, so its own bit is clear.
     seed_mask = sum(
-        1 << k for k, w in enumerate(walls) if 1 in w.subset and len(w.subset) > 1
+        1 << k for k, w in enumerate(walls) if n in w.subset and len(w.subset) > 1
     )
     seed = next((ch.index for ch in chambers if ch.mask == seed_mask), None)
     if seed is None:
-        raise InvariantViolationError("seed sign vector is not realized by any chamber")
+        raise InvariantViolationError("seed sign vector is not realized by any piece")
     return LineConfig(n, walls, chambers, adjacency, seed)
 
 
@@ -139,11 +190,12 @@ def exceptional_count(config: LineConfig, chamber) -> int:
 
 
 def quotient_picard(config: LineConfig) -> tuple[int | None, ...]:
-    """Picard number of every stable chamber's quotient (None for unstable).
+    """Picard number of every stable piece's quotient (None for unstable).
 
-    Propagated across walls from the seed chamber, where rho = 1, and
-    verified for consistency on every stable-stable wall of the
-    configuration, so the value is path-independent.
+    Propagated across the walls between pieces from the seed piece, where
+    rho = 1, and verified for consistency on every stable-stable wall
+    between pieces.  The crossing rule depends only on the wall's size, so
+    rho is S_n-invariant and a piece's value holds on its whole orbit.
     """
     n = config.n
     rho: list[int | None] = [None] * len(config.chambers)
@@ -171,7 +223,7 @@ def quotient_picard(config: LineConfig) -> tuple[int | None, ...]:
             if nxt in seen:
                 if rho[nxt] != value:
                     raise InvariantViolationError(
-                        f"rho propagation inconsistent between chambers {cur} and {nxt}"
+                        f"rho propagation inconsistent between pieces {cur} and {nxt}"
                     )
             else:
                 rho[nxt] = value
@@ -179,13 +231,17 @@ def quotient_picard(config: LineConfig) -> tuple[int | None, ...]:
                 queue.append(nxt)
     stable_indices = {ch.index for ch in config.chambers if ch.stable}
     if seen != stable_indices:
-        raise InvariantViolationError("stable chambers are not wall-connected")
+        raise InvariantViolationError("stable pieces are not wall-connected")
     return tuple(rho)
 
 
 @dataclass(frozen=True)
 class RhoReport:
-    """Verification of rho + e = constant over all stable chambers."""
+    """Verification of rho + e = constant over all stable chambers.
+
+    The chamber counts are weighted by orbit; failures and rho are indexed
+    by piece.
+    """
 
     ok: bool
     n: int
@@ -200,26 +256,28 @@ class RhoReport:
 def verify_rho_formula(config: LineConfig) -> RhoReport:
     """Check rho + exceptional count against the closed-form constant everywhere.
 
+    rho and e are S_n-invariant, so checking each piece checks its orbit.
     The report carries the propagated Picard numbers, so callers need not
     run quotient_picard again.
     """
     rho = quotient_picard(config)
     constant = rho_constant(config.n)
     failures = []
-    n_stable = 0
+    n_chambers = n_stable = 0
     for ch in config.chambers:
+        n_chambers += ch.orbit
         if not ch.stable:
             continue
-        n_stable += 1
+        n_stable += ch.orbit
         if rho[ch.index] + exceptional_count(config, ch) != constant:
             failures.append(ch.index)
     return RhoReport(
         not failures,
         config.n,
         constant,
-        len(config.chambers),
+        n_chambers,
         n_stable,
-        len(config.chambers) - n_stable,
+        n_chambers - n_stable,
         tuple(failures),
         rho,
     )

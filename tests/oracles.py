@@ -1,12 +1,17 @@
 """Independent oracles used to validate computed results.
 
-Everything here is implemented from scratch on purpose: no imports from the
-package under test, so agreement between an oracle and the library is
-meaningful evidence rather than a tautology.
+Everything here is implemented from scratch on purpose, so agreement
+between an oracle and the library is meaningful evidence rather than a
+tautology.  The one exception is full_line_config, which splits the whole
+orthant with the package's arrangement split (itself checked against
+count_chambers_bruteforce); it uses no symmetry, so it is independent of
+the orbit reduction it is compared with.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -235,3 +240,133 @@ def cramer_coefficients(columns, chi):
             _det(cols[:p] + [list(chi)] + cols[p + 1:]) / d for p in range(rho)
         )
     return out
+
+
+@dataclass(frozen=True)
+class OracleWall:
+    subset: tuple[int, ...]
+    covector: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class OracleChamber:
+    index: int
+    mask: int
+    representative: tuple[int, ...]
+    stable: bool
+
+
+@dataclass(frozen=True)
+class FullLineConfig:
+    """Every chamber of n points on a line, with rho (None when unstable)."""
+
+    n: int
+    walls: tuple[OracleWall, ...]
+    chambers: tuple[OracleChamber, ...]
+    adjacency: tuple[tuple[int, int, int], ...]
+    seed_index: int
+    rho: tuple[int | None, ...]
+
+
+def _line_crossing_delta(n: int, size: int) -> int:
+    return (size >= 3) - (2 <= size <= n - 3)
+
+
+def full_line_config(n: int) -> FullLineConfig:
+    """Split the whole open orthant by the subset-sum walls, with no symmetry.
+
+    The walls are the smaller of S and its complement, ties by the side
+    holding point 1, in order of size and then lexicographically.  rho is 1
+    on the chamber where point 1 is heavy and changes by the crossing rule
+    across every wall between stable chambers; a second value for a chamber
+    raises.  Exponential in n: n = 7 takes about 30 s and 300 MB.
+    """
+    from mdsgit.cones import adjacent_pairs, positive_orthant, split_by_hyperplanes
+
+    walls = tuple(
+        OracleWall(s, tuple(1 if i in s else -1 for i in range(1, n + 1)))
+        for size in range(1, n // 2 + 1)
+        for s in combinations(range(1, n + 1), size)
+        if 2 * size != n or 1 in s
+    )
+    cells = sorted(split_by_hyperplanes(positive_orthant(n), [w.covector for w in walls]),
+                   key=lambda cell: cell.mask)
+    singletons = (1 << n) - 1
+    chambers = tuple(
+        OracleChamber(i, cell.mask, tuple(map(sum, zip(*cell.rays))),
+                      not cell.mask & singletons)
+        for i, cell in enumerate(cells)
+    )
+    adjacency = adjacent_pairs([ch.mask for ch in chambers], len(walls))
+    seed_mask = sum(
+        1 << k for k, w in enumerate(walls) if 1 in w.subset and len(w.subset) > 1
+    )
+    seed = next(ch.index for ch in chambers if ch.mask == seed_mask)
+
+    neighbors: dict[int, list[tuple[int, int]]] = {}
+    for a, b, w in adjacency:
+        if chambers[a].stable and chambers[b].stable:
+            neighbors.setdefault(a, []).append((b, w))
+            neighbors.setdefault(b, []).append((a, w))
+    rho: list[int | None] = [None] * len(chambers)
+    rho[seed] = 1
+    stack = [seed]
+    while stack:
+        cur = stack.pop()
+        for nxt, w in neighbors.get(cur, ()):
+            delta = _line_crossing_delta(n, len(walls[w].subset))
+            value = rho[cur] - delta if chambers[cur].mask >> w & 1 else rho[cur] + delta
+            if rho[nxt] is None:
+                rho[nxt] = value
+                stack.append(nxt)
+            elif rho[nxt] != value:
+                raise AssertionError(f"rho is path dependent at chamber {nxt}")
+    return FullLineConfig(n, walls, chambers, adjacency, seed, tuple(rho))
+
+
+def line_piece_mismatches(config, rho, oracle: FullLineConfig) -> list[str]:
+    """Where the sorted-cone pieces disagree with the full enumeration.
+
+    config is a configuration of pieces with orbit weights and rho its
+    Picard numbers.  Each oracle chamber's representative is sorted into
+    the sorted cone and located by the signs of its wall values; the piece
+    with that mask must carry the chamber's rho, and each piece must be
+    reached by exactly orbit chambers.  Weighted counts and the weighted
+    rho histogram follow and are compared too.
+    """
+    problems = []
+    if [w.subset for w in config.walls] != [w.subset for w in oracle.walls]:
+        return ["wall lists differ"]
+    by_mask = {ch.mask: ch for ch in config.chambers}
+    hits: Counter = Counter()
+    for ch in oracle.chambers:
+        point = sorted(ch.representative)
+        mask = sum(1 << k for k, w in enumerate(oracle.walls)
+                   if sum(c * x for c, x in zip(w.covector, point)) > 0)
+        piece = by_mask.get(mask)
+        if piece is None:
+            problems.append(f"chamber {ch.index}: no piece has mask {mask}")
+            continue
+        hits[piece.index] += 1
+        if rho[piece.index] != oracle.rho[ch.index]:
+            problems.append(f"chamber {ch.index}: rho {oracle.rho[ch.index]}, "
+                            f"piece {piece.index} has {rho[piece.index]}")
+    for piece in config.chambers:
+        if hits[piece.index] != piece.orbit:
+            problems.append(f"piece {piece.index}: orbit {piece.orbit}, "
+                            f"{hits[piece.index]} chambers sort into it")
+
+    def weighted(stable):
+        return sum(p.orbit for p in config.chambers if p.stable == stable)
+
+    for stable in (True, False):
+        expected = sum(1 for ch in oracle.chambers if ch.stable == stable)
+        if weighted(stable) != expected:
+            problems.append(f"stable={stable}: {weighted(stable)} weighted, {expected} chambers")
+    histogram: Counter = Counter()
+    for p in config.chambers:
+        if p.stable:
+            histogram[rho[p.index]] += p.orbit
+    if histogram != Counter(v for v in oracle.rho if v is not None):
+        problems.append(f"weighted rho histogram {sorted(histogram.items())} differs")
+    return problems

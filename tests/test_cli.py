@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -188,6 +189,45 @@ def test_invalid_fan_input(tmp_path, capsys):
     }))
     assert main(["chambers", str(scaled_ray)]) == 3
     assert "ray 0 (2, 0) is not primitive" in capsys.readouterr().err
+
+
+def test_non_integer_entries_are_parse_errors(tmp_path, capsys):
+    cases = [
+        ({"fan": {"rays": [[1.5, 0], [0, 1], [-1, -1]],
+                  "cones": [[0, 1], [1, 2], [0, 2]]}}, "ray 0 has the entry 1.5"),
+        ({"fan": {"rays": [[1, 0], [0, "1"], [-1, -1]],
+                  "cones": [[0, 1], [1, 2], [0, 2]]}}, 'ray 1 has the entry "1"'),
+        ({"weights": {"columns": [[1], [True], [-1]]}}, "weight column 1 has the entry true"),
+        ({"weights": {"columns": [[1], ["2"], [-1]]}}, 'weight column 1 has the entry "2"'),
+        ({"weights": {"columns": [[1.0], [1], [-1]]}}, "weight column 0 has the entry 1.0"),
+        ({"weights": {"columns": 3}}, "weight columns must be a list of lists"),
+    ]
+    for doc, message in cases:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["chambers", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_quietly(unbuffered):
+    # buffered, the report first meets the closed pipe when it is flushed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mdsgit.cli", "m0n", "-n", "4"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_cones_key_and_name(tmp_path, capsys):

@@ -6,9 +6,11 @@ from collections import Counter
 
 import pytest
 
+from mdsgit import npoints
 from mdsgit.errors import InvariantViolationError
 from mdsgit.linalg import dot
 from mdsgit.npoints import (
+    MAX_N,
     build_config,
     crossing_delta,
     exceptional_count,
@@ -19,15 +21,17 @@ from mdsgit.npoints import (
 from oracles import (
     count_chambers_bruteforce,
     exceptional_count_by_subsets,
+    full_line_config,
+    line_piece_mismatches,
     signs_of,
     single_flip_pairs,
 )
 
 FROZEN = {
-    # n: (walls, chambers, stable)
-    4: (7, 12, 8),
-    5: (15, 81, 76),
-    6: (31, 1684, 1678),
+    # n: (walls, pieces, orbit-weighted chambers, weighted stable)
+    4: (7, 3, 12, 8),
+    5: (15, 7, 81, 76),
+    6: (31, 21, 1684, 1678),
 }
 
 
@@ -36,23 +40,53 @@ def configs():
     return {n: build_config(n) for n in (4, 5, 6)}
 
 
-def test_bounds_are_enforced():
+@pytest.fixture(scope="module")
+def full_configs():
+    return {n: full_line_config(n) for n in (4, 5, 6)}
+
+
+def _weighted(cfg, stable):
+    return sum(ch.orbit for ch in cfg.chambers if ch.stable == stable)
+
+
+def test_bounds_are_enforced(monkeypatch):
+    assert MAX_N == 8
     with pytest.raises(ValueError):
         build_config(3)
-    with pytest.raises(ValueError):
-        build_config(8)
+
+    def no_split(*args):
+        raise AssertionError("n = 9 reached the split")
+
+    monkeypatch.setattr(npoints, "split_by_hyperplanes", no_split)
     with pytest.raises(ValueError):
         build_config(9)
+
+
+def test_n8_counts():
+    report = verify_rho_formula(build_config(8))
+    assert report.ok
+    assert (report.n_chambers, report.n_stable, report.n_unstable) == (
+        33_207_256, 33_207_248, 8,
+    )
+    assert len(report.rho) == 2470
+    assert report.constant == 99
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_frozen_counts(configs, n):
     cfg = configs[n]
-    walls, chambers, stable = FROZEN[n]
+    walls, pieces, chambers, stable = FROZEN[n]
     assert len(cfg.walls) == walls
-    assert len(cfg.chambers) == chambers
-    assert sum(1 for ch in cfg.chambers if ch.stable) == stable
-    assert sum(1 for ch in cfg.chambers if not ch.stable) == n
+    assert len(cfg.chambers) == pieces
+    assert _weighted(cfg, True) + _weighted(cfg, False) == chambers
+    assert _weighted(cfg, True) == stable
+    assert _weighted(cfg, False) == n
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_pieces_match_full_enumeration(configs, full_configs, n):
+    cfg = configs[n]
+    assert line_piece_mismatches(cfg, quotient_picard(cfg), full_configs[n]) == []
 
 
 def test_wall_representatives_n4(configs):
@@ -89,7 +123,7 @@ def test_chamber_count_against_bruteforce(configs, n):
     cfg = configs[n]
     eye = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
     expected = count_chambers_bruteforce([w.covector for w in cfg.walls], eye, n)
-    assert len(cfg.chambers) == expected
+    assert sum(ch.orbit for ch in cfg.chambers) == expected
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -97,6 +131,7 @@ def test_representatives_realize_signs(configs, n):
     cfg = configs[n]
     for ch in cfg.chambers:
         assert all(x > 0 for x in ch.representative)
+        assert list(ch.representative) == sorted(ch.representative)
         for k, w in enumerate(cfg.walls):
             d = dot(w.covector, ch.representative)
             assert d != 0 and (d > 0) == bool(ch.mask >> k & 1)
@@ -110,7 +145,7 @@ def test_stability_matches_singleton_signs(configs, n):
         assert ch.stable == singleton_ok
 
 
-def test_seed_chamber(configs):
+def test_seed_chamber(configs, full_configs):
     for n in (4, 5, 6):
         cfg = configs[n]
         seed = cfg.chambers[cfg.seed_index]
@@ -118,8 +153,15 @@ def test_seed_chamber(configs):
         rho = quotient_picard(cfg)
         assert rho[cfg.seed_index] == 1
         assert exceptional_count(cfg, seed) == rho_constant(n) - 1
+        # the full seed chamber (point 1 heavy) under the transposition (1 n)
+        full = full_configs[n]
+        point = list(full.chambers[full.seed_index].representative)
+        point[0], point[-1] = point[-1], point[0]
+        signs = tuple(1 if dot(w.covector, point) > 0 else -1 for w in cfg.walls)
+        assert signs == signs_of(seed.mask, len(cfg.walls))
+    # point 4 heavy: only {1, 4} outweighs its complement
     assert signs_of(configs[4].chambers[configs[4].seed_index].mask, 7) == (
-        -1, -1, -1, -1, 1, 1, 1,
+        -1, -1, -1, -1, -1, -1, 1,
     )
 
 
@@ -129,19 +171,26 @@ def test_rho_formula(configs, n):
     assert report.ok
     assert report.constant == rho_constant(n)
     assert report.failures == ()
-    assert report.n_stable == FROZEN[n][2]
+    assert report.n_chambers == FROZEN[n][2]
+    assert report.n_stable == FROZEN[n][3]
     assert report.n_unstable == n
 
 
+def _weighted_histogram(cfg):
+    rho = quotient_picard(cfg)
+    histogram = Counter()
+    for ch in cfg.chambers:
+        if rho[ch.index] is not None:
+            histogram[rho[ch.index]] += ch.orbit
+    return histogram
+
+
 def test_rho_histograms(configs):
-    rho4 = quotient_picard(configs[4])
-    assert Counter(v for v in rho4 if v is not None) == {1: 8}
-    rho5 = quotient_picard(configs[5])
-    assert Counter(v for v in rho5 if v is not None) == {
+    assert _weighted_histogram(configs[4]) == {1: 8}
+    assert _weighted_histogram(configs[5]) == {
         1: 5, 2: 30, 3: 30, 4: 10, 5: 1,
     }
-    rho6 = quotient_picard(configs[6])
-    assert Counter(v for v in rho6 if v is not None) == {
+    assert _weighted_histogram(configs[6]) == {
         1: 6, 2: 30, 3: 140, 4: 480, 5: 690, 6: 332,
     }
 

@@ -18,6 +18,7 @@ output closed before the report was written (as for a SIGPIPE death).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -65,15 +66,23 @@ def _fail(message: str) -> None:
     raise ValueError(message)
 
 
+def _integer_list(values, what: str):
+    """values itself when it is a list of JSON integers, else a parse error."""
+    if not isinstance(values, list):
+        _fail(f"{what} must be a list of integers")
+    for x in values:
+        # bool is an int subclass, but true/false is not an integer entry
+        if type(x) is not int:
+            _fail(f"{what} has the entry {json.dumps(x)}, expected an integer")
+    return values
+
+
 def _integer_rows(rows, what: str):
     """rows itself when it is a list of lists of JSON integers, else a parse error."""
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         _fail(f"{what}s must be a list of lists of integers")
     for i, row in enumerate(rows):
-        for x in row:
-            # bool is an int subclass, but true/false is not an integer entry
-            if type(x) is not int:
-                _fail(f"{what} {i} has the entry {json.dumps(x)}, expected an integer")
+        _integer_list(row, f"{what} {i}")
     return rows
 
 
@@ -110,6 +119,7 @@ def _load_input(path: str) -> LoadedInput:
         if not isinstance(section, dict) or "rays" not in section or cones is None:
             _fail("fan input needs 'rays' and 'cones'")
         rays = _integer_rows(section["rays"], "ray")
+        cones = _integer_rows(cones, "cone")
         # make_fan rescales to primitive; input rays must already be primitive
         for i, ray in enumerate(rays):
             if primitive(ray) != tuple(ray):
@@ -124,7 +134,7 @@ def _load_input(path: str) -> LoadedInput:
         if not isinstance(section, dict) or "columns" not in section:
             _fail("weights input needs 'columns'")
         columns = _integer_rows(section["columns"], "weight column")
-        ws = weight_system(columns, section.get("torsion", ()))
+        ws = weight_system(columns, _integer_list(section.get("torsion", []), "torsion"))
         fan = None
     else:
         _fail("input must contain a 'fan' or a 'weights' key")
@@ -442,6 +452,7 @@ def cmd_m0n(args) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache  # once per process: parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mdsgit",

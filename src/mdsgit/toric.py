@@ -278,15 +278,13 @@ class QuotientData:
     dropped_columns: tuple[int, ...]
 
 
-def quotient_fan_data(ws: WeightSystem, chi) -> QuotientData:
-    """Quotient fan for a character in the interior of a chamber.
+def _interior_masks(ws: WeightSystem, chi) -> list[int]:
+    """Column bitmasks of the table subsets whose open cone holds chi.
 
-    Maximal cones are the complements, on Gale vectors, of the column
-    subsets whose simplicial cone contains chi in its interior.  Columns
-    appearing in no maximal cone correspond to divisors contracted by the
-    linearization and are dropped (with their indices reported).  A chi in
-    no closed simplicial column cone has an empty semistable locus; a chi
-    on a hyperplane spanned by columns is degenerate.
+    Raises RankDeficientWeightsError when the table is empty,
+    EmptySemistableLocusError when no closed table cone holds chi (chi is
+    outside the effective cone), and DegenerateLinearizationError when chi
+    lies on a hyperplane of the table.
     """
     chi = _check_chi(ws, chi)
     if not ws.simplicial_cones:
@@ -295,13 +293,13 @@ def quotient_fan_data(ws: WeightSystem, chi) -> QuotientData:
         )
     semistable = False
     wall = None
-    interior_subsets = []
+    interior = []
     for subset, normals in ws.simplicial_cones:
         values = [dot(h, chi) for h in normals]
         if min(values) >= 0:
             semistable = True
             if min(values) > 0:
-                interior_subsets.append(subset)
+                interior.append(sum(1 << j for j in subset))
         if wall is None and 0 in values:
             wall = normals[values.index(0)]
     if not semistable:
@@ -313,9 +311,23 @@ def quotient_fan_data(ws: WeightSystem, chi) -> QuotientData:
             f"character {chi} lies on a wall or on the boundary of the semistable "
             f"cone: the hyperplane with normal {wall}"
         )
+    return interior
+
+
+def quotient_fan_data(ws: WeightSystem, chi) -> QuotientData:
+    """Quotient fan for a character in the interior of a chamber.
+
+    Maximal cones are the complements, on Gale vectors, of the column
+    subsets whose simplicial cone contains chi in its interior.  Columns
+    appearing in no maximal cone correspond to divisors contracted by the
+    linearization and are dropped (with their indices reported).  A chi in
+    no closed simplicial column cone has an empty semistable locus; a chi
+    on a hyperplane spanned by columns is degenerate.
+    """
+    interior = _interior_masks(ws, chi)
     gale = gale_dual(ws)
     complements = [
-        tuple(i for i in range(ws.r) if i not in s) for s in interior_subsets
+        tuple(i for i in range(ws.r) if not mask >> i & 1) for mask in interior
     ]
     used = sorted(set().union(*[set(c) for c in complements]))
     position = {col: idx for idx, col in enumerate(used)}
@@ -342,39 +354,53 @@ class UnstableReport:
     """
 
     strata: tuple[tuple[int, ...], ...]
-    min_codim: int | None
+    min_codim: int
+
+
+def _minimal_transversals(masks) -> list[int]:
+    """Minimal bitmasks that meet every mask in masks (Berge's algorithm).
+
+    Adds one mask at a time.  A transversal that meets it stays; one that
+    misses it grows by each bit of it.  The family before each step is an
+    antichain, so a grown set fails to be minimal only by containing a set
+    that stayed.
+    """
+    family = [0]
+    for mask in masks:
+        bits = [1 << j for j in range(mask.bit_length()) if mask >> j & 1]
+        kept = [t for t in family if t & mask]
+        grown = {t | b for t in family if not t & mask for b in bits}
+        family = kept + [g for g in grown if not any(k & g == k for k in kept)]
+    return family
 
 
 def unstable_locus(ws: WeightSystem, chi) -> UnstableReport:
-    """Classify unstable coordinate supports for a character.
+    """Maximal unstable coordinate supports for a character, from the table.
 
-    A point is unstable exactly when chi is outside the cone spanned by the
-    weights of its nonzero coordinates.  Supports are monotone, so the
-    report lists the maximal unstable supports.
+    A point is unstable exactly when chi is outside the cone spanned by
+    the weights of its nonzero coordinates.  For chi off every table
+    hyperplane, chi lies in that cone exactly when the support contains a
+    table subset whose open cone holds chi: by Caratheodory chi is in the
+    cone of some independent subset of the support, and fewer than rho
+    columns span a space inside some table hyperplane.  So the maximal
+    unstable supports are the complements of the minimal transversals of
+    those subsets, the irrelevant ideal of Cox (1995).  The work is one
+    pass over the table plus Berge's algorithm, whose families are
+    antichains of column subsets; no cone is built.
+
+    A chi outside the closed effective cone gives the single stratum of
+    all coordinates, with codimension 0 (the empty set is the transversal
+    of the empty family).  A chi on a table hyperplane, chi = 0 included,
+    raises DegenerateLinearizationError, and rank-deficient weights raise
+    RankDeficientWeightsError, as in quotient_fan_data.
     """
-    chi = _check_chi(ws, chi)
+    try:
+        interior = _interior_masks(ws, chi)
+    except EmptySemistableLocusError:
+        interior = []
     r = ws.r
-    stable_cache: dict[int, bool] = {}
-
-    def stable(mask: int) -> bool:
-        hit = stable_cache.get(mask)
-        if hit is not None:
-            return hit
-        cols = [ws.columns[i] for i in range(r) if mask >> i & 1]
-        cone = cone_from_generators(cols, ambient_dim=ws.rho)
-        res = cone.contains(chi) != "outside"
-        stable_cache[mask] = res
-        return res
-
-    maximal = []
-    for mask in range(1 << r):
-        if stable(mask):
-            continue
-        if all(stable(mask | (1 << j)) for j in range(r) if not mask >> j & 1):
-            maximal.append(mask)
-    strata = tuple(
-        sorted(tuple(i for i in range(r) if mask >> i & 1) for mask in maximal)
-    )
-    if not strata:
-        return UnstableReport((), None)
+    strata = tuple(sorted(
+        tuple(i for i in range(r) if not t >> i & 1)
+        for t in _minimal_transversals(interior)
+    ))
     return UnstableReport(strata, min(r - len(s) for s in strata))

@@ -242,6 +242,38 @@ def cramer_coefficients(columns, chi):
     return out
 
 
+def unstable_supports(columns, chi):
+    """Maximal coordinate supports S with chi outside the cone of the columns in S.
+
+    By Caratheodory, chi is in that cone exactly when it is a nonnegative
+    combination of some linearly independent subset of S.  Each
+    independent subset of at most len(chi) columns is solved exactly for
+    chi, so no cone description and no wall normal is used.  Returns the
+    sorted maximal unstable supports as tuples of column indices.
+    """
+    r, rho = len(columns), len(chi)
+    witnesses = []
+    for k in range(rho + 1):
+        for sub in combinations(range(r), k):
+            rows = [[columns[j][i] for j in sub] for i in range(rho)]
+            if _solve_nullvector(rows, k) is not None:
+                continue  # dependent columns
+            # independent columns: a null vector of [sub | -chi] ends in a positive entry
+            y = _solve_nullvector([row + [-chi[i]] for i, row in enumerate(rows)], k + 1)
+            if y is not None and min(y) >= 0:
+                witnesses.append(sum(1 << j for j in sub))
+
+    def semistable(mask: int) -> bool:
+        return any(w & mask == w for w in witnesses)
+
+    return sorted(
+        tuple(j for j in range(r) if mask >> j & 1)
+        for mask in range(1 << r)
+        if not semistable(mask)
+        and all(semistable(mask | 1 << j) for j in range(r) if not mask >> j & 1)
+    )
+
+
 @dataclass(frozen=True)
 class OracleWall:
     subset: tuple[int, ...]

@@ -201,6 +201,14 @@ def test_non_integer_entries_are_parse_errors(tmp_path, capsys):
         ({"weights": {"columns": [[1], ["2"], [-1]]}}, 'weight column 1 has the entry "2"'),
         ({"weights": {"columns": [[1.0], [1], [-1]]}}, "weight column 0 has the entry 1.0"),
         ({"weights": {"columns": 3}}, "weight columns must be a list of lists"),
+        ({"fan": {"rays": [[1, 0], [0, 1], [-1, -1]],
+                  "cones": [[0, 1.0], [1, 2], [0, 2]]}}, "cone 0 has the entry 1.0"),
+        ({"fan": {"rays": [[1, 0], [0, 1], [-1, -1]],
+                  "cones": [[0, 1], "12", [0, 2]]}}, "cones must be a list of lists"),
+        ({"weights": {"columns": [[1], [1], [-1]], "torsion": [2.5]}},
+         "torsion has the entry 2.5"),
+        ({"weights": {"columns": [[1], [1], [-1]], "torsion": 2}},
+         "torsion must be a list of integers"),
     ]
     for doc, message in cases:
         path = tmp_path / "doc.json"
@@ -209,6 +217,19 @@ def test_non_integer_entries_are_parse_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.out == ""
+
+
+def test_repeated_main_calls_share_no_state(blp2_file, capsys):
+    # the parser is built once per process; a --json in between must not stick
+    runs = []
+    for argv in (["quotient", blp2_file, "--chi", "2,-1"],
+                 ["m0n", "-n", "4", "--json"],
+                 ["quotient", blp2_file, "--chi", "2,-1"]):
+        code = main(argv)
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[2]
+    assert runs[0][0] == 0 and runs[0][1].startswith("quotient fan: 4 rays")
+    assert runs[1][0] == 0 and json.loads(runs[1][1])["chambers"] == 12
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

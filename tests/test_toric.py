@@ -20,6 +20,7 @@ from mdsgit.errors import (
     DimensionMismatchError,
     EmptySemistableLocusError,
     InvalidFanError,
+    RankDeficientWeightsError,
 )
 from mdsgit.linalg import dot, vadd, vscale
 from mdsgit.toric import (
@@ -35,7 +36,7 @@ from mdsgit.toric import (
     wall_hyperplanes,
     weight_system,
 )
-from oracles import cramer_coefficients, spanned_hyperplanes
+from oracles import cramer_coefficients, spanned_hyperplanes, unstable_supports
 
 LIBRARY = [
     projective_plane,
@@ -198,12 +199,12 @@ def test_quotient_rejects_degenerate_characters():
 
 
 @st.composite
-def weights_and_character(draw):
-    rho = draw(st.integers(2, 4))
+def weights_and_character(draw, min_rho=2, max_rho=4, chi_bound=3):
+    rho = draw(st.integers(min_rho, max_rho))
     r = draw(st.integers(rho, 6))
     column = st.tuples(*[st.integers(-2, 2)] * rho)
     columns = draw(st.lists(column, min_size=r, max_size=r))
-    chi = draw(st.tuples(*[st.integers(-3, 3)] * rho))
+    chi = draw(st.tuples(*[st.integers(-chi_bound, chi_bound)] * rho))
     return columns, chi
 
 
@@ -239,6 +240,39 @@ def test_unstable_locus_frozen():
     assert at_nef.min_codim == 2 and at_nef.strata == ((0, 1), (2, 3))
     off_nef = unstable_locus(ws, (1, 1))
     assert off_nef.min_codim == 1 and off_nef.strata == ((0, 1, 2), (3,))
+
+
+@settings(max_examples=80, deadline=None)
+@given(weights_and_character(min_rho=1, max_rho=3, chi_bound=9))
+def test_unstable_locus_against_oracle(case):
+    columns, chi = case
+    assume(cramer_coefficients(columns, chi))  # full rank
+    assume(all(dot(h, chi) != 0 for h in spanned_hyperplanes(columns, len(chi))))
+    report = unstable_locus(weight_system(columns), chi)
+    expected = unstable_supports(columns, chi)
+    assert list(report.strata) == expected
+    assert report.min_codim == min(len(columns) - len(s) for s in expected)
+
+
+def test_unstable_locus_contracts(monkeypatch):
+    ws = cox_weights(blown_up_plane())
+    outside = unstable_locus(ws, (-1, 0))
+    assert outside.strata == ((0, 1, 2, 3),) and outside.min_codim == 0
+    assert list(outside.strata) == unstable_supports(ws.columns, (-1, 0))
+    for chi in ((1, 0), (0, 1), (0, 0)):  # interior wall, boundary, zero
+        with pytest.raises(DegenerateLinearizationError):
+            unstable_locus(ws, chi)
+    with pytest.raises(RankDeficientWeightsError):
+        unstable_locus(weight_system([(1, 0), (2, 0), (-1, 0)]), (1, 0))
+
+    # the strata come from the simplicial-cone table, never from a cone
+    def no_cones(*args, **kwargs):
+        raise AssertionError("unstable_locus built a cone")
+
+    cube = cox_weights(cube_fan())
+    monkeypatch.setattr("mdsgit.toric.cone_from_generators", no_cones)
+    monkeypatch.setattr("mdsgit.cones.Cone.contains", no_cones)
+    assert unstable_locus(cube, (1, 1, 1)).min_codim == 2
 
 
 def test_weight_system_validation():

@@ -325,6 +325,20 @@ def intersect(a: Cone, b: Cone) -> Cone:
     )
 
 
+def intersection_rays(a: Cone, b: Cone) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+    """Lineality basis and extreme rays of a ∩ b, left uncanonicalized.
+
+    One double-description pass over the stacked inequalities and
+    equations of a and b: no second pass, Smith form or projection, so the
+    vectors are primitive but neither sorted nor reduced to a basis form.
+    """
+    if a.ambient_dim != b.ambient_dim:
+        raise DimensionMismatchError(
+            f"intersection_rays in dimensions {a.ambient_dim} and {b.ambient_dim}"
+        )
+    return _dd_vrep(a.ambient_dim, a.inequalities + b.inequalities, a.equations + b.equations)
+
+
 def minkowski_sum(a: Cone, b: Cone) -> Cone:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError(

@@ -34,3 +34,7 @@ class InvariantViolationError(MdsgitError):
 
 class DimensionMismatchError(MdsgitError):
     """Vectors or matrices of incompatible dimensions were combined."""
+
+
+class NonIntegerEntryError(MdsgitError):
+    """A vector entry or index that must be an integer is not an int (or is a bool)."""

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .cones import Cone, cone_from_generators, intersect
+from .cones import Cone, cone_from_generators, intersection_rays
 from .errors import (
     DegenerateLinearizationError,
     DimensionMismatchError,
     EmptySemistableLocusError,
     InvalidFanError,
     InvariantViolationError,
+    NonIntegerEntryError,
     RankDeficientWeightsError,
 )
 from .linalg import (
@@ -45,13 +46,24 @@ class Fan:
     max_cones: tuple[tuple[int, ...], ...]
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """values as a tuple, when every entry is an int and none is a bool."""
+    values = tuple(values)
+    for x in values:
+        # bool is an int subclass, but True/False is not an integer entry
+        if type(x) is not int:
+            raise NonIntegerEntryError(f"{what} has the entry {x!r}, expected an integer")
+    return values
+
+
 def make_fan(rays, max_cones, ambient_dim: int | None = None) -> Fan:
     """Build a Fan after normalizing rays to primitive and sorting cone data.
 
     Ray order is preserved (indices are meaningful); each cone is sorted and
-    the list of cones is sorted and deduplicated.
+    the list of cones is sorted and deduplicated.  A ray entry or cone index
+    that is not an int raises NonIntegerEntryError.
     """
-    rays = [tuple(r) for r in rays]
+    rays = [_integers(r, f"ray {i}") for i, r in enumerate(rays)]
     if ambient_dim is None:
         if not rays:
             raise InvalidFanError("ambient_dim required for a fan with no rays")
@@ -65,8 +77,8 @@ def make_fan(rays, max_cones, ambient_dim: int | None = None) -> Fan:
     if len(set(prims)) != len(prims):
         raise InvalidFanError("duplicate rays after normalizing to primitive vectors")
     cones = set()
-    for c in max_cones:
-        c = tuple(sorted(set(int(i) for i in c)))
+    for k, c in enumerate(max_cones):
+        c = tuple(sorted(set(_integers(c, f"cone {k}"))))
         for i in c:
             if not 0 <= i < len(prims):
                 raise InvalidFanError(f"cone index {i} out of range")
@@ -80,14 +92,14 @@ class FanValidation:
     issues: tuple[str, ...]
 
 
-def _ray_cone(fan: Fan, indices) -> Cone:
-    return cone_from_generators(
-        [fan.rays[i] for i in indices], ambient_dim=fan.ambient_dim
-    )
-
-
 def validate_fan(fan: Fan) -> FanValidation:
-    """Check ray usage, simpliciality, maximality, and pairwise face intersections."""
+    """Check ray usage, simpliciality, maximality, and pairwise face intersections.
+
+    Simplicial cones a and b meet in the cone of their shared rays exactly
+    when a ∩ b has no lineality and its extreme rays are zero on the facets
+    of a through every shared ray, which cut out that face of a (Fulton,
+    *Introduction to Toric Varieties*, 1.2).
+    """
     in_cones = set().union(*fan.max_cones)
     issues = [f"ray {i} lies in no cone" for i in range(len(fan.rays)) if i not in in_cones]
     for c in fan.max_cones:
@@ -98,9 +110,14 @@ def validate_fan(fan: Fan) -> FanValidation:
         if set(a) <= set(b) or set(b) <= set(a):
             issues.append(f"cone {a} and cone {b} are nested; both listed as maximal")
     if not issues:
+        cones = {c: cone_from_generators([fan.rays[i] for i in c], ambient_dim=fan.ambient_dim)
+                 for c in fan.max_cones}
         for a, b in combinations(fan.max_cones, 2):
             shared = tuple(sorted(set(a) & set(b)))
-            if intersect(_ray_cone(fan, a), _ray_cone(fan, b)) != _ray_cone(fan, shared):
+            lineality, rays = intersection_rays(cones[a], cones[b])
+            through = [h for h in cones[a].inequalities
+                       if not any(dot(h, fan.rays[i]) for i in shared)]
+            if lineality or any(dot(h, x) for h in through for x in rays):
                 issues.append(
                     f"cones {a} and {b} do not meet along their common face {shared}"
                 )
@@ -193,7 +210,8 @@ class WeightSystem:
 
 
 def weight_system(columns, torsion=()) -> WeightSystem:
-    columns = tuple(tuple(int(x) for x in c) for c in columns)
+    """Weight system of int columns and torsion factors (else NonIntegerEntryError)."""
+    columns = tuple(_integers(c, f"weight column {i}") for i, c in enumerate(columns))
     if not columns:
         raise DimensionMismatchError("a weight system needs at least one column")
     rho = len(columns[0])
@@ -202,7 +220,7 @@ def weight_system(columns, torsion=()) -> WeightSystem:
     for c in columns:
         if len(c) != rho:
             raise DimensionMismatchError("weight columns of unequal length")
-    torsion = tuple(int(t) for t in torsion)
+    torsion = _integers(torsion, "torsion")
     if any(t < 2 for t in torsion):
         raise DimensionMismatchError("torsion factors must be at least 2")
     return WeightSystem(rho, len(columns), columns, torsion)
@@ -261,7 +279,7 @@ def g_ample_cone(ws: WeightSystem) -> Cone:
 
 
 def _check_chi(ws: WeightSystem, chi) -> IntVec:
-    chi = tuple(int(x) for x in chi)
+    chi = _integers(chi, "character")
     if len(chi) != ws.rho:
         raise DimensionMismatchError(
             f"character of length {len(chi)} for a rank-{ws.rho} grading"

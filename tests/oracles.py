@@ -274,6 +274,64 @@ def unstable_supports(columns, chi):
     )
 
 
+def _relation(vectors, dim: int):
+    """A nonzero integer relation among the vectors, or None if they are independent."""
+    return _solve_nullvector([[v[k] for v in vectors] for k in range(dim)], len(vectors))
+
+
+def cones_meet_in_common_face(rays, a, b) -> bool:
+    """Do simplicial cones a and b (ray index sets) meet in the cone of their shared rays?
+
+    They fail to exactly when some subset T of the rays in a △ b is
+    minimally dependent modulo the span of the shared rays and its
+    relation is positive on T ∩ a and negative on T ∩ b, or the reverse.
+    Such a relation, with its shared-ray terms moved to whichever side
+    keeps them nonnegative, names one point of a ∩ b twice, and that point
+    has a positive coordinate on a ray of a outside the shared face.
+    Conversely, a point of a ∩ b off that face gives a relation modulo
+    the shared span with those signs, and it splits into sign-conformal
+    circuits.  Everything is exact rational elimination on the rays.
+    """
+    dim = len(rays[0])
+    shared = [rays[i] for i in sorted(set(a) & set(b))]
+    others = sorted(set(a) ^ set(b))
+    for size in range(1, dim - len(shared) + 2):
+        for t in combinations(others, size):
+            vectors = [rays[i] for i in t] + shared
+            relation = _relation(vectors, dim)
+            if relation is None or any(
+                _relation(vectors[:p] + vectors[p + 1:], dim) is not None for p in range(size)
+            ):
+                continue
+            if len({(i in a) == (c > 0) for i, c in zip(t, relation)}) == 1:
+                return False
+    return True
+
+
+def simplicial_collection(vectors, index_sets):
+    """Rays and maximal cones of a simplicial collection made from raw draws.
+
+    Each index set picks vectors; those picking a zero vector, the same
+    primitive ray twice, or dependent rays are dropped, and so is each set
+    inside another.  The rays left are the sorted primitive vectors in
+    some set, and each cone is a sorted tuple of their indices.  Returns
+    None when fewer than two cones are left.
+    """
+    dim = len(vectors[0])
+    kept = set()
+    for idx in index_sets:
+        picked = {_reduce(tuple(vectors[i])) for i in idx}
+        if len(picked) == len(idx) and all(any(v) for v in picked) \
+                and _relation(list(picked), dim) is None:
+            kept.add(frozenset(picked))
+    maximal = [c for c in kept if not any(c < d for d in kept)]
+    if len(maximal) < 2:
+        return None
+    rays = sorted(set().union(*maximal))
+    index = {v: i for i, v in enumerate(rays)}
+    return rays, sorted(tuple(sorted(index[v] for v in c)) for c in maximal)
+
+
 @dataclass(frozen=True)
 class OracleWall:
     subset: tuple[int, ...]

@@ -174,6 +174,14 @@ def test_invalid_fan_input(tmp_path, capsys):
     }))
     assert main(["chambers", str(bad_fan)]) == 3  # parses fine, fails validation
     assert "error" in capsys.readouterr().err
+    partial_facet = tmp_path / "partial.json"  # meet in more than their shared ray
+    partial_facet.write_text(json.dumps({
+        "fan": {"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 0, -1]],
+                "cones": [[0, 1, 2], [1, 3, 4]]}
+    }))
+    assert main(["chambers", str(partial_facet)]) == 3
+    assert capsys.readouterr().err == (
+        "error: cones (0, 1, 2) and (1, 3, 4) do not meet along their common face (1,)\n")
     unused_ray = tmp_path / "unused.json"
     unused_ray.write_text(json.dumps({
         "fan": {"rays": [[1, 0], [0, 1], [-1, -1], [1, 1]],

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -20,10 +22,12 @@ from mdsgit.errors import (
     DimensionMismatchError,
     EmptySemistableLocusError,
     InvalidFanError,
+    NonIntegerEntryError,
     RankDeficientWeightsError,
 )
 from mdsgit.linalg import dot, vadd, vscale
 from mdsgit.toric import (
+    FanValidation,
     canonicalize_fan,
     cox_weights,
     g_ample_cone,
@@ -36,7 +40,13 @@ from mdsgit.toric import (
     wall_hyperplanes,
     weight_system,
 )
-from oracles import cramer_coefficients, spanned_hyperplanes, unstable_supports
+from oracles import (
+    cones_meet_in_common_face,
+    cramer_coefficients,
+    simplicial_collection,
+    spanned_hyperplanes,
+    unstable_supports,
+)
 
 LIBRARY = [
     projective_plane,
@@ -66,11 +76,60 @@ def test_make_fan_rejects_bad_rays():
         make_fan([(1, 0)], [(1,)])  # index out of range
 
 
+def test_make_fan_rejects_non_integer_entries():
+    with pytest.raises(NonIntegerEntryError, match="cone 1 has the entry 1.7"):
+        make_fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (0, 1.7)])
+    with pytest.raises(NonIntegerEntryError, match="cone 0 has the entry True"):
+        make_fan([(1, 0), (0, 1)], [(0, True)])
+    with pytest.raises(NonIntegerEntryError, match="ray 1 has the entry 1.0"):
+        make_fan([(1, 0), (0, 1.0)], [(0, 1)])
+
+
 def test_validate_fan_catches_overlap():
     # two 2d cones overlapping in a 2d region, not a common face
     fan = make_fan([(1, 0), (0, 1), (1, 1), (-1, 2)], [(0, 1), (2, 3)])
-    report = validate_fan(fan)
-    assert not report.ok and report.issues
+    assert validate_fan(fan) == FanValidation(
+        False, ("cones (0, 1) and (2, 3) do not meet along their common face ()",))
+
+
+def test_validate_fan_catches_meeting_in_part_of_a_facet():
+    # the cones share only e2, yet meet in cone(e2, (1, 1, 0)): part of the
+    # facet cone(e1, e2) of the orthant
+    fan = make_fan([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 0, -1)],
+                   [(0, 1, 2), (1, 3, 4)])
+    assert validate_fan(fan) == FanValidation(
+        False, ("cones (0, 1, 2) and (1, 3, 4) do not meet along their common face (1,)",))
+    assert not cones_meet_in_common_face(fan.rays, (0, 1, 2), (1, 3, 4))
+
+
+def _meeting_issues(rays, cones):
+    """The "do not meet" issues the oracle predicts, in validate_fan's order."""
+    return tuple(
+        f"cones {a} and {b} do not meet along their common face "
+        f"{tuple(sorted(set(a) & set(b)))}"
+        for a, b in combinations(cones, 2)
+        if not cones_meet_in_common_face(rays, a, b)
+    )
+
+
+@st.composite
+def simplicial_collections(draw):
+    dim = draw(st.integers(2, 4))
+    pool = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim).filter(any),
+                         min_size=dim, max_size=dim + 3, unique=True))
+    index_sets = draw(st.lists(
+        st.frozensets(st.integers(0, len(pool) - 1), min_size=1, max_size=dim),
+        min_size=2, max_size=4, unique=True))
+    return simplicial_collection(pool, index_sets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(simplicial_collections())
+def test_validate_fan_against_oracle(collection):
+    assume(collection is not None)
+    rays, cones = collection
+    expected = _meeting_issues(rays, cones)
+    assert validate_fan(make_fan(rays, cones)) == FanValidation(not expected, expected)
 
 
 def test_validate_fan_catches_non_simplicial():
@@ -196,6 +255,12 @@ def test_quotient_rejects_degenerate_characters():
         quotient_fan_data(ws, (1, 0))  # on the interior wall
     with pytest.raises(DegenerateLinearizationError):
         quotient_fan_data(ws, (0, 1))  # on the boundary of the ample cone
+    # (2, -1) is a chamber character; (2.5, -1) must not be read as it
+    for call in (quotient_fan_data, unstable_locus):
+        with pytest.raises(NonIntegerEntryError, match="character has the entry 2.5"):
+            call(ws, (2.5, -1))
+        with pytest.raises(NonIntegerEntryError, match="character has the entry True"):
+            call(ws, (True, -1))
 
 
 @st.composite
@@ -232,6 +297,29 @@ def test_walls_and_quotients_against_oracles(case):
             for subset, x in coefficients.items()
             if min(x) > 0
         }
+
+
+@st.composite
+def weights_and_positive_character(draw):
+    # chi is a positive combination of the columns, so few draws miss a chamber
+    columns, _ = draw(weights_and_character())
+    multipliers = draw(st.lists(st.integers(1, 20), min_size=len(columns),
+                                max_size=len(columns)))
+    chi = tuple(sum(m * c[i] for m, c in zip(multipliers, columns))
+                for i in range(len(columns[0])))
+    return columns, chi
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights_and_positive_character())
+def test_quotient_fans_against_oracle(case):
+    columns, chi = case
+    coefficients = cramer_coefficients(columns, chi)
+    assume(any(min(x) > 0 for x in coefficients.values()))  # full rank, semistable
+    assume(all(dot(h, chi) != 0 for h in spanned_hyperplanes(columns, len(chi))))
+    fan = quotient_fan_data(weight_system(columns), chi).fan
+    assert validate_fan(fan) == FanValidation(True, ())
+    assert _meeting_issues(fan.rays, fan.max_cones) == ()
 
 
 def test_unstable_locus_frozen():
@@ -282,3 +370,9 @@ def test_weight_system_validation():
         weight_system([(1, 0), (0,)])  # ragged
     with pytest.raises(DimensionMismatchError):
         weight_system([])
+    with pytest.raises(NonIntegerEntryError, match="weight column 0 has the entry 1.5"):
+        weight_system([(1.5,), (1,), (-1,)])
+    with pytest.raises(NonIntegerEntryError, match="weight column 1 has the entry False"):
+        weight_system([(1,), (False,), (-1,)])
+    with pytest.raises(NonIntegerEntryError, match="torsion has the entry 2.5"):
+        weight_system([(1,), (1,), (-1,)], torsion=[2.5])

@@ -31,6 +31,7 @@ from .errors import (
     DegenerateLinearizationError,
     DimensionMismatchError,
     EmptySemistableLocusError,
+    InputTooLargeError,
     InvalidFanError,
     MdsgitError,
     RankDeficientWeightsError,
@@ -520,7 +521,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InvalidFanError, RankDeficientWeightsError, DimensionMismatchError,
-            EmptySemistableLocusError) as exc:
+            EmptySemistableLocusError, InputTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except DegenerateLinearizationError as exc:

@@ -38,3 +38,7 @@ class DimensionMismatchError(MdsgitError):
 
 class NonIntegerEntryError(MdsgitError):
     """A vector entry or index that must be an integer is not an int (or is a bool)."""
+
+
+class InputTooLargeError(MdsgitError):
+    """The input would take more work than is accepted; refused before any is done."""

@@ -21,7 +21,7 @@ from .cones import (
 )
 from .errors import DegenerateLinearizationError, InvariantViolationError
 from .linalg import IntVec, dot
-from .toric import Fan, canonicalize_fan, is_complete
+from .toric import Fan, _check_chi, canonicalize_fan, is_complete
 from .vgit import Chamber, ChamberComplex, Wall, chamber_of
 
 
@@ -306,12 +306,12 @@ def _segment_walk(
     flipped mask names the next chamber.
     """
     ws = complex_.weights
-    start = _interior_chamber(complex_, chi_from, "source")
-    end = _interior_chamber(complex_, chi_to, "target")
+    p = _check_chi(ws, chi_from)
+    q = _check_chi(ws, chi_to)
+    start = _interior_chamber(complex_, p, "source")
+    end = _interior_chamber(complex_, q, "target")
     if start == end:
         return (start,), (), ()
-    p = tuple(int(x) for x in chi_from)
-    q = tuple(int(x) for x in chi_to)
     hyps = complex_.hyperplanes
     weight = max(sum(abs(x) for x in h) for h in hyps)
     base = 2 * weight + 1

@@ -26,13 +26,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import factorial, prod
 
-from .cones import adjacent_pairs, cone_from_generators, split_by_hyperplanes
+from .cones import Cone, adjacent_pairs, split_by_hyperplanes
 from .errors import InvariantViolationError
-from .linalg import IntVec, hermite_normal_form
+from .linalg import IntVec
 
 # Largest n accepted.  n = 8 has 127 walls and 2,470 pieces, which stand for
-# 33,207,256 chambers, in about 1 s; at n = 9 the split of the sorted cone
-# alone takes about 90 s (2-core machine, CPython 3.11).
+# 33,207,256 chambers, in about 0.8 s, 0.45 s of it the split; at n = 9 the
+# split of the sorted cone alone takes about 90 s (2-core machine, CPython
+# 3.11).
 MAX_N = 8
 
 
@@ -89,28 +90,80 @@ def _covector(n: int, subset) -> IntVec:
     return tuple(1 if i in inside else -1 for i in range(1, n + 1))
 
 
-def _orbit(n: int, rays) -> int:
-    """Number of chambers in the S_n orbit of the chamber of a piece.
+def _sorted_cone(n: int) -> Cone:
+    """The sorted cone 0 <= x_1 <= ... <= x_n, written down in canonical form.
 
-    J is the set of braid walls x_i = x_{i+1} on which the piece P has a
-    facet, that is, on which its tight rays have rank n - 1 (the number of
-    rows of their Hermite form).  The runs of J join consecutive
+    It is simplicial: its extreme rays are e_i + ... + e_n and its facets
+    are x_1 >= 0 and x_{i+1} - x_i >= 0, all primitive, so no conversion is
+    needed (as for cones.positive_orthant).
+    """
+    generators = sorted(tuple(int(j >= i) for j in range(n)) for i in range(n))
+    inequalities = sorted(
+        [tuple(int(j == 0) for j in range(n))]
+        + [tuple(int(j == i + 1) - int(j == i) for j in range(n)) for i in range(n - 1)]
+    )
+    return Cone(n, tuple(generators), tuple(inequalities), (), ())
+
+
+def _transposition_tests(n: int, walls) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """For each transposition s_i = (i i+1), the mask test that it fixes a chamber.
+
+    s_i maps the chamber C onto the chamber positive on S exactly when C is
+    positive on s_i(S).  A wall k that s_i moves is paired with the wall k'
+    whose stored subset is s_i(S_k) or, with flip 1, its complement (a
+    half-size wall stored by its side with point 1).  So s_i C = C exactly
+    when bit k ^ bit k' == flip for every such pair.  The pairs with the
+    same shift d = k' - k > 0 are tested at once: one entry (d, bits, flips)
+    holds their bits k and their flips at bit k, and the test is
+    (mask ^ mask >> d) & bits == flips.
+    """
+    index = {w.subset: k for k, w in enumerate(walls)}
+    points = set(range(1, n + 1))
+    tests = []
+    for i in range(1, n):
+        swap = {i: i + 1, i + 1: i}
+        by_shift: dict[int, tuple[int, int]] = {}
+        for k, w in enumerate(walls):
+            if (i in w.subset) == (i + 1 in w.subset):
+                continue
+            image = tuple(sorted(swap.get(p, p) for p in w.subset))
+            flip = image not in index
+            if flip:
+                image = tuple(sorted(points.difference(image)))
+            d = index[image] - k
+            if d > 0:
+                bits, flips = by_shift.get(d, (0, 0))
+                by_shift[d] = (bits | 1 << k, flips | flip << k)
+        tests.append(tuple((d, bits, flips) for d, (bits, flips) in by_shift.items()))
+    return tuple(tests)
+
+
+def _orbit(n: int, mask: int, tests) -> int:
+    """Number of chambers in the S_n orbit of the chamber C with this mask.
+
+    J is the set of transpositions s_i that fix C, read off the mask with
+    the tests of _transposition_tests.  The runs of J join consecutive
     coordinates into blocks, and the parabolic subgroup W_J is the product
     of the blocks' symmetric groups.
 
-    The chamber C that contains the piece P is W_J-invariant: a braid facet
-    of P in J lies inside C and is not on any subset-sum wall, so its
-    reflection s_i maps C onto the chamber across that facet, which is C.
-    Hence C meets the |W_J| Weyl chambers w(sorted cone), w in W_J.  It
-    meets no other: a generic segment inside C from P into another Weyl
-    chamber would leave the sorted cone through a braid facet of P outside
-    J.  The stabilizer of C permutes the Weyl chambers that C meets and
-    contains W_J, so it is W_J, and the orbit of C has n!/|W_J| chambers.
+    The piece P of C has a facet on the braid wall x_i = x_{i+1} exactly
+    when s_i C = C.  If P has such a facet, the facet lies inside C and on
+    no subset-sum wall, so s_i maps C onto the chamber across it, which is
+    C.  Conversely, if s_i C = C, take x in the interior of P: s_i x is in
+    the interior of C, and so is the midpoint of x and s_i x.  It lies on
+    x_i = x_{i+1} and strictly inside that facet of the sorted cone, and
+    near it the sorted cone lies in C, hence in P, so P has a facet there.
+
+    So C is W_J-invariant and meets the |W_J| Weyl chambers w(sorted
+    cone), w in W_J.  It meets no other: a generic segment inside C from P
+    into another Weyl chamber would leave the sorted cone through a braid
+    facet of P outside J.  The stabilizer of C permutes the Weyl chambers
+    that C meets and contains W_J, so it is W_J, and the orbit of C has
+    n!/|W_J| chambers.
     """
     blocks = [1]
-    for i in range(n - 1):
-        tight = [r for r in rays if r[i] == r[i + 1]]
-        if len(tight) >= n - 1 and len(hermite_normal_form(tight)) == n - 1:
+    for test in tests:
+        if all((mask ^ mask >> d) & bits == flips for d, bits, flips in test):
             blocks[-1] += 1
         else:
             blocks.append(1)
@@ -128,15 +181,14 @@ def build_config(n: int) -> LineConfig:
     if not 4 <= n <= MAX_N:
         raise ValueError(f"n must be between 4 and {MAX_N}, got {n}")
     walls = tuple(LineWall(s, _covector(n, s)) for s in _wall_subsets(n))
-    sorted_cone = cone_from_generators(
-        [tuple(int(j >= i) for j in range(n)) for i in range(n)])
-    cells = sorted(split_by_hyperplanes(sorted_cone, [w.covector for w in walls]),
+    cells = sorted(split_by_hyperplanes(_sorted_cone(n), [w.covector for w in walls]),
                    key=lambda cell: cell.mask)
+    tests = _transposition_tests(n, walls)
     # the n singleton walls come first: bits 0 to n-1
     singletons = (1 << n) - 1
     chambers = tuple(
         LineChamber(i, cell.mask, tuple(map(sum, zip(*cell.rays))),
-                    not cell.mask & singletons, _orbit(n, cell.rays))
+                    not cell.mask & singletons, _orbit(n, cell.mask, tests))
         for i, cell in enumerate(cells)
     )
     if sum(ch.orbit for ch in chambers if not ch.stable) != n:

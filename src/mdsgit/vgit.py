@@ -21,15 +21,12 @@ from .cones import (
     intersect,
     split_by_hyperplanes,
 )
-from .errors import (
-    DimensionMismatchError,
-    InvariantViolationError,
-    RankDeficientWeightsError,
-)
+from .errors import InvariantViolationError, RankDeficientWeightsError
 from .linalg import IntVec, dot
 from .toric import (
     QuotientData,
     WeightSystem,
+    _check_chi,
     g_ample_cone,
     quotient_fan_data,
     wall_hyperplanes,
@@ -184,11 +181,7 @@ def enumerate_chambers(ws: WeightSystem, cross_check: bool | None = None) -> Cha
 
 def chamber_of(complex_: ChamberComplex, chi) -> ChamberLocation:
     """Locate a character within the chamber complex."""
-    chi = tuple(int(x) for x in chi)
-    if len(chi) != complex_.weights.rho:
-        raise DimensionMismatchError(
-            f"character of length {len(chi)} for a rank-{complex_.weights.rho} grading"
-        )
+    chi = _check_chi(complex_.weights, chi)
     loc = complex_.g_ample.contains(chi)
     if loc == "outside":
         return ChamberLocation("outside")

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import factorial, gcd, prod
 
 
 def _reduce(row):
@@ -460,3 +460,38 @@ def line_piece_mismatches(config, rho, oracle: FullLineConfig) -> list[str]:
     if histogram != Counter(v for v in oracle.rho if v is not None):
         problems.append(f"weighted rho histogram {sorted(histogram.items())} differs")
     return problems
+
+
+def _rank(rows) -> int:
+    """Rank of an integer matrix by Gaussian elimination over Fraction."""
+    mat = [[Fraction(c) for c in r] for r in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][col] / mat[rank][col]
+            if f:
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def braid_orbit(n: int, rays) -> int:
+    """S_n orbit size n!/|W_J| of the chamber of a piece of the sorted cone.
+
+    rays generate the piece.  J is the set of braid walls x_i = x_{i+1} on
+    which the piece has a facet, that is, on which its tight rays have rank
+    n - 1; the runs of J join coordinates into blocks, and |W_J| is the
+    product of the blocks' factorials.
+    """
+    blocks = [1]
+    for i in range(n - 1):
+        tight = [r for r in rays if r[i] == r[i + 1]]
+        if _rank(tight) == n - 1:
+            blocks[-1] += 1
+        else:
+            blocks.append(1)
+    return factorial(n) // prod(map(factorial, blocks))

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from mdsgit import toric
 from mdsgit.cli import main
 
 BLP2 = {
@@ -111,6 +112,18 @@ def test_quotient_exit_codes(blp2_file, tmp_path, capsys):
     rank_deficient.write_text(json.dumps({"weights": {"columns": [[1, 0], [2, 0], [-1, 0]]}}))
     assert main(["quotient", str(rank_deficient), "--chi=1,0"]) == 3
     assert "rank below 2" in capsys.readouterr().err
+
+
+def test_oversized_weight_system_exits_3(tmp_path, capsys, monkeypatch):
+    def walked(*args):
+        raise AssertionError("the table walked its column subsets")
+
+    monkeypatch.setattr(toric, "combinations", walked)
+    big = tmp_path / "big.json"
+    columns = [[j**k for k in range(5)] for j in range(21)]
+    big.write_text(json.dumps({"weights": {"columns": columns}}))
+    assert main(["chambers", str(big)]) == 3
+    assert "21 weight columns of rank 5 have 20349 column subsets" in capsys.readouterr().err
 
 
 def test_factor(blp2_file, capsys):

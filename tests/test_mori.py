@@ -18,7 +18,7 @@ from conftest import (
     weighted_plane,
 )
 from mdsgit.cones import cone_from_generators, intersect, minkowski_sum
-from mdsgit.errors import DegenerateLinearizationError
+from mdsgit.errors import DegenerateLinearizationError, NonIntegerEntryError
 from mdsgit.mori import (
     classify_boundary_facet,
     classify_wall,
@@ -244,6 +244,15 @@ def test_factor_trivial_and_degenerate():
     assert f.chambers == (1,) and not f.crossings
     with pytest.raises(DegenerateLinearizationError):
         factor_contraction(cx, (1, 0), (1, 1))  # source on a wall
+
+
+def test_factor_rejects_non_integer_characters():
+    # both endpoints would truncate into chamber 0 and give a one-chamber path
+    cx = enumerate_chambers(cox_weights(blown_up_plane()))
+    with pytest.raises(NonIntegerEntryError, match="character has the entry 2.9"):
+        factor_contraction(cx, (2.9, 1.2), (1, 3))
+    with pytest.raises(NonIntegerEntryError, match="character has the entry 3.5"):
+        factor_contraction(cx, (1, 3), (2, 3.5))
 
 
 def test_factor_all_pairs():

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from mdsgit import npoints
+from mdsgit.cones import cone_from_generators, split_by_hyperplanes
 from mdsgit.errors import InvariantViolationError
 from mdsgit.linalg import dot
 from mdsgit.npoints import (
@@ -19,6 +20,7 @@ from mdsgit.npoints import (
     verify_rho_formula,
 )
 from oracles import (
+    braid_orbit,
     count_chambers_bruteforce,
     exceptional_count_by_subsets,
     full_line_config,
@@ -70,6 +72,23 @@ def test_n8_counts():
     )
     assert len(report.rho) == 2470
     assert report.constant == 99
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_sorted_cone_is_canonical(n):
+    generators = [tuple(int(j >= i) for j in range(n)) for i in range(n)]
+    assert npoints._sorted_cone(n) == cone_from_generators(generators)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_orbits_match_rank_oracle(n):
+    cfg = build_config(n)
+    cells = split_by_hyperplanes(npoints._sorted_cone(n), [w.covector for w in cfg.walls])
+    rays = {cell.mask: cell.rays for cell in cells}
+    assert len(rays) == len(cfg.chambers)
+    assert [ch.orbit for ch in cfg.chambers] == [
+        braid_orbit(n, rays[ch.mask]) for ch in cfg.chambers
+    ]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,12 +22,15 @@ from mdsgit.errors import (
     DegenerateLinearizationError,
     DimensionMismatchError,
     EmptySemistableLocusError,
+    InputTooLargeError,
     InvalidFanError,
     NonIntegerEntryError,
     RankDeficientWeightsError,
 )
+from mdsgit import toric
 from mdsgit.linalg import dot, vadd, vscale
 from mdsgit.toric import (
+    MAX_TABLE_WORK,
     FanValidation,
     canonicalize_fan,
     cox_weights,
@@ -376,3 +380,21 @@ def test_weight_system_validation():
         weight_system([(1,), (False,), (-1,)])
     with pytest.raises(NonIntegerEntryError, match="torsion has the entry 2.5"):
         weight_system([(1,), (1,), (-1,)], torsion=[2.5])
+
+
+def test_simplicial_table_refuses_oversized_systems(monkeypatch):
+    # 20 columns of rank 5 are just under the bound and 21 just over it
+    assert comb(20, 5) * 5**4 <= MAX_TABLE_WORK < comb(21, 5) * 5**4
+
+    class Walked(Exception):
+        pass
+
+    def walked(*args):
+        raise Walked
+
+    monkeypatch.setattr(toric, "combinations", walked)
+    moment_curve = [tuple(j**k for k in range(5)) for j in range(21)]
+    with pytest.raises(InputTooLargeError, match="at most 16000 are accepted at rank 5"):
+        weight_system(moment_curve).simplicial_cones
+    with pytest.raises(Walked):
+        weight_system(moment_curve[:20]).simplicial_cones

@@ -18,10 +18,16 @@ from conftest import (
     twice_blown_up_plane,
     weighted_plane,
 )
-from mdsgit.errors import RankDeficientWeightsError
+from mdsgit.errors import NonIntegerEntryError, RankDeficientWeightsError
 from mdsgit.linalg import dot, rank_of
 from mdsgit.mori import _segment_walk
-from mdsgit.toric import cox_weights, g_ample_cone, wall_hyperplanes, weight_system
+from mdsgit.toric import (
+    cox_weights,
+    g_ample_cone,
+    quotient_fan_data,
+    wall_hyperplanes,
+    weight_system,
+)
 from mdsgit.vgit import chamber_of, enumerate_chambers, verify_disjoint_cover
 from oracles import count_chambers_bruteforce
 
@@ -123,6 +129,18 @@ def test_chamber_of_locations():
     assert loc.kind == "boundary" and loc.chamber == 1
     assert chamber_of(cx, (0, 0)).kind == "face"
     assert chamber_of(cx, (-1, 5)).kind == "outside"
+
+
+def test_chamber_of_rejects_non_integer_characters():
+    # (2, 1) lies inside chamber 0; (2.9, 1.2) must not be read as it, and
+    # is refused the same way quotient_fan_data refuses it
+    cx = enumerate_chambers(cox_weights(blown_up_plane()))
+    with pytest.raises(NonIntegerEntryError, match="character has the entry 2.9"):
+        chamber_of(cx, (2.9, 1.2))
+    with pytest.raises(NonIntegerEntryError, match="character has the entry 2.9"):
+        quotient_fan_data(cx.weights, (2.9, 1.2))
+    with pytest.raises(NonIntegerEntryError, match="character has the entry True"):
+        chamber_of(cx, (2, True))
 
 
 def test_rank_deficient_rejected():

@@ -6,18 +6,16 @@ the H-side.  Canonicalization makes structural equality of the dataclass
 coincide with geometric equality of the cones, and makes dualization a free
 field swap.
 
-The conversion engine is an incremental double-description method that
-supports lineality directly and tracks zero-sets of processed inequalities
-as bitmasks, so the adjacency test used when splitting rays is purely
-combinatorial and exact.
-
-Splitting a full-dimensional cone along a hyperplane arrangement cuts each
-crossed cell into both of its sides in one pass: the hyperplane's values on
-the cell's rays are computed once, the new rays on the hyperplane (or the
-pivot projection, when the hyperplane is nonzero on the lineality) are
-shared by the two children, and a cardinality bound on common zero bits
-prunes ray pairs before the combinatorial adjacency test (Fukuda-Prodon,
-*Double description method revisited*, 1996).
+Conversion and arrangement splitting share one double-description cut.
+The state keeps lineality directly and tracks the zero sets of the cut
+inequalities as bitmasks, so the ray adjacency test is purely
+combinatorial and exact.  A constraint that is nonzero on the lineality
+pivots on it; otherwise its values on the rays are computed once, and the
+new rays on its hyperplane come from adjacent (positive, negative) ray
+pairs, pruned by a cardinality bound on common zero bits before the
+combinatorial test (Fukuda-Prodon, *Double description method revisited*,
+1996).  A conversion keeps the + side of each inequality's cut; a split
+keeps both sides of each crossed cell.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from .errors import DimensionMismatchError, InvariantViolationError
 from .linalg import (
     IntVec,
     dot,
-    hermite_normal_form,
     is_zero,
     primitive,
     saturate_rows,
@@ -98,41 +95,26 @@ class Cone:
 class _DDState:
     """Mutable double-description state: lineality, extreme rays, zero-masks.
 
-    masks[i] has bit k set exactly when processed inequality k vanishes on
-    rays[i].  All processed constraints vanish identically on lin.
+    masks[i] has bit k set exactly when the k-th cut inequality vanishes on
+    rays[i].  Every cut constraint vanishes identically on lin.  dim is the
+    dimension of the kernel of the equations: of the equations a
+    conversion starts with, and the ambient dimension in a split, which
+    starts from a full-dimensional cone.
     """
 
     __slots__ = ("dim", "lin", "rays", "masks", "nbits")
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.lin: list[IntVec] = []
-        self.rays: list[IntVec] = []
-        self.masks: list[int] = []
-        self.nbits = 0
+    def __init__(self, dim: int, lin: list, rays: list, masks: list, nbits: int):
+        self.dim, self.lin, self.rays, self.masks, self.nbits = dim, lin, rays, masks, nbits
 
-    @classmethod
-    def full_space(cls, dim: int) -> _DDState:
-        st = cls(dim)
-        st.lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-        return st
-
-    def insert(self, c: IntVec, equation: bool) -> None:
-        if is_zero(c):
-            return
-        lin_vals = [dot(c, l) for l in self.lin]
-        k = next((i for i, v in enumerate(lin_vals) if v != 0), None)
-        if k is not None:
-            self._insert_pivot(c, equation, k, lin_vals[k])
-        else:
-            self._insert_split(c, equation)
-
-    def _insert_pivot(self, c, equation, k, s):
-        # Constraint is nonzero on the lineality: consume one lineality
-        # generator as the pivot and project everything else onto c = 0
-        # along it.  Processed inequalities vanish on the pivot, so masks
-        # are unchanged by the projection.
+    def _insert_pivot(self, c, lin_vals, equation=False):
+        # c is nonzero on the lineality (lin_vals): consume the first
+        # lineality generator it is nonzero on as the pivot and project
+        # everything else onto c = 0 along it.  Cut inequalities vanish on
+        # the pivot, so masks are unchanged by the projection.
+        k = next(i for i, v in enumerate(lin_vals) if v)
         piv = self.lin.pop(k)
+        s = lin_vals[k]
         if s < 0:
             piv = vneg(piv)
             s = -s
@@ -153,66 +135,41 @@ class _DDState:
         self.masks.append(bit - 1)  # pivot: zero on every earlier inequality
         self.nbits += 1
 
-    def _insert_split(self, c, equation):
-        vals = [dot(c, r) for r in self.rays]
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        neg = [i for i, v in enumerate(vals) if v < 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
-        combos: list[tuple[IntVec, int]] = []
-        if pos and neg:
-            masks = self.masks
-            for i in pos:
-                mi = masks[i]
-                for j in neg:
-                    common = mi & masks[j]
-                    if any(
-                        t != i and t != j and (common & m) == common
-                        for t, m in enumerate(masks)
-                    ):
-                        continue
-                    w = primitive(
-                        vsub(vscale(vals[i], self.rays[j]), vscale(vals[j], self.rays[i]))
-                    )
-                    combos.append((w, common))
-        if equation:
-            keep = zero
-            bit = 0
-        else:
-            keep = zero + pos
-            bit = 1 << self.nbits
-            self.nbits += 1
-        new_rays = []
-        new_masks = []
-        for i in sorted(keep):
-            new_rays.append(self.rays[i])
-            new_masks.append(self.masks[i] | (bit if vals[i] == 0 else 0))
-        for w, common in combos:
-            new_rays.append(w)
-            new_masks.append(common | bit)
-        self.rays = new_rays
-        self.masks = new_masks
-
 
 def _dd_vrep(dim, inequalities, equations) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
-    """Lineality basis and extreme rays of {x : equations = 0, inequalities >= 0}."""
-    st = _DDState.full_space(dim)
+    """Lineality basis and extreme rays of {x : equations = 0, inequalities >= 0}.
+
+    The state starts as the whole space.  Each equation pivots on the
+    lineality, or vanishes on it and so depends on earlier ones and is
+    skipped; what lineality is left spans the equations' kernel, which
+    becomes the state's dim.  Each inequality h is then cut like a split
+    cell: nonzero on the lineality it pivots, as in _cut_lineality; >= 0 on
+    every ray it is redundant and skipped, as a split leaves an uncut cell
+    alone; otherwise the + child of _cut_rays is kept, which is the face
+    h = 0 when h is positive on no ray.  Kept rays stay in order and the
+    new rays follow them.
+    """
+    st = _DDState(dim, list(_eye(dim)), [], [], 0)
     for e in equations:
-        st.insert(tuple(e), equation=True)
+        lin_vals = [sum(map(mul, e, l)) for l in st.lin]
+        if any(lin_vals):
+            st._insert_pivot(e, lin_vals, equation=True)
+    st.dim = len(st.lin)
     for h in inequalities:
-        st.insert(tuple(h), equation=False)
+        lin_vals = [sum(map(mul, h, l)) for l in st.lin]
+        if any(lin_vals):
+            st._insert_pivot(h, lin_vals)
+            continue
+        vals = [sum(map(mul, h, r)) for r in st.rays]
+        if min(vals, default=0) < 0:
+            st = _cut_rays(st, vals)[0]
     return tuple(st.lin), tuple(st.rays)
 
 
 def _state_from_cone(cone: Cone) -> _DDState:
-    st = _DDState(cone.ambient_dim)
-    st.lin = list(cone.lineality)
-    st.rays = list(cone.generators)
-    st.nbits = len(cone.inequalities)
-    st.masks = [
-        sum(1 << k for k, h in enumerate(cone.inequalities) if dot(h, g) == 0)
-        for g in cone.generators
-    ]
-    return st
+    gens, ineqs = list(cone.generators), cone.inequalities
+    masks = [sum(1 << k for k, h in enumerate(ineqs) if dot(h, g) == 0) for g in gens]
+    return _DDState(cone.ambient_dim, list(cone.lineality), gens, masks, len(ineqs))
 
 
 def _project_off(v, basis) -> IntVec:
@@ -283,19 +240,20 @@ def cone_from_inequalities(inequalities, equations=(), ambient_dim=None) -> Cone
 
 
 def full_space(dim: int) -> Cone:
-    return Cone(dim, (), (), (), hermite_normal_form([tuple(r) for r in _eye(dim)]))
+    return Cone(dim, (), (), (), _eye(dim))
 
 
 def zero_cone(dim: int) -> Cone:
-    return Cone(dim, (), (), hermite_normal_form([tuple(r) for r in _eye(dim)]), ())
+    return Cone(dim, (), (), _eye(dim), ())
 
 
-def _eye(dim):
-    return [[int(i == j) for j in range(dim)] for i in range(dim)]
+def _eye(dim) -> tuple[IntVec, ...]:
+    """Rows of the identity matrix, which is its own Hermite normal form."""
+    return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
 
 
 def positive_orthant(dim: int) -> Cone:
-    eye = tuple(sorted(tuple(r) for r in _eye(dim)))
+    eye = tuple(sorted(_eye(dim)))
     return Cone(dim, eye, eye, (), ())
 
 
@@ -366,34 +324,35 @@ class SplitCell:
     mask: int
 
 
-def _cell(dim, lin, rays, masks, nbits) -> _DDState:
-    st = _DDState(dim)
-    st.lin, st.rays, st.masks, st.nbits = lin, rays, masks, nbits
-    return st
-
-
 def _cut_lineality(state: _DDState, h, lin_vals) -> tuple[_DDState, _DDState]:
     """Both sides of h in a cell whose lineality h does not vanish on.
 
     The pivot projection runs once, on state itself; the two sides differ
     only in the appended ray, +pivot or -pivot.
     """
-    p = next(i for i, v in enumerate(lin_vals) if v)
-    state._insert_pivot(h, False, p, lin_vals[p])
+    state._insert_pivot(h, lin_vals)
     rays = state.rays[:-1] + [vneg(state.rays[-1])]
-    return state, _cell(state.dim, list(state.lin), rays, list(state.masks), state.nbits)
+    return state, _DDState(state.dim, list(state.lin), rays, list(state.masks), state.nbits)
 
 
 def _cut_rays(state: _DDState, vals) -> tuple[_DDState, _DDState]:
     """Both sides of a hyperplane h with values vals on the cell's rays.
 
-    h vanishes on the lineality and takes both signs on the rays.  Rays
-    with h = 0 go to both children, positive rays to the + child and
-    negative rays to the - child.  The new rays on h come from adjacent
-    (positive, negative) pairs and are computed once for both children.
-    Adjacent extreme rays of a pointed cone of dimension d share at least
-    d - 2 tight constraints, so pairs with fewer common zero bits are
-    skipped before the combinatorial test.
+    h vanishes on the lineality and is negative on some ray.  In a split
+    it takes both signs; in a conversion it may be one-signed, and with no
+    positive ray the + child is the face h = 0.  Rays with h = 0 go to
+    both children, positive rays to the + child and negative rays to the
+    - child.  The new rays on h come from adjacent (positive, negative)
+    pairs and are computed once for both children.
+
+    Pairs are pruned by a bound before the combinatorial test.  Let E be
+    the equations, k = state.dim the dimension of ker E (the ambient
+    dimension in a split) and l = len(state.lin).  The minimal face
+    through two adjacent rays has dimension l + 2 = dim ker[E; A_I] >=
+    k - |I|, where I is the rows tight on both rays, so |I| >= k - l - 2.
+    That holds over any system defining the cone, including implicit
+    equalities h, -h and with redundant rows skipped, so a pair with
+    fewer common zero bits would fail the combinatorial test anyway.
     """
     rays, masks = state.rays, state.masks
     bit = 1 << state.nbits
@@ -435,8 +394,8 @@ def _cut_rays(state: _DDState, vals) -> tuple[_DDState, _DDState]:
             neg_masks.append(m)
     nbits = state.nbits + 1
     return (
-        _cell(state.dim, state.lin, pos_rays, pos_masks, nbits),
-        _cell(state.dim, list(state.lin), neg_rays, neg_masks, nbits),
+        _DDState(state.dim, state.lin, pos_rays, pos_masks, nbits),
+        _DDState(state.dim, list(state.lin), neg_rays, neg_masks, nbits),
     )
 
 

@@ -27,12 +27,6 @@ def dot(a, b):
     return sum(map(mul, a, b))
 
 
-def vadd(a, b):
-    if len(a) != len(b):
-        raise DimensionMismatchError(f"vadd of length {len(a)} with length {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vsub(a, b):
     if len(a) != len(b):
         raise DimensionMismatchError(f"vsub of length {len(a)} with length {len(b)}")
@@ -78,26 +72,6 @@ def to_int_vec(a) -> IntVec:
 
 def identity_rows(n: int) -> IntRows:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def mat_vec(rows, x):
-    return tuple(dot(r, x) for r in rows)
-
-
-def mat_mul(a, b):
-    """Product of two matrices given as row tuples."""
-    if a and b and len(a[0]) != len(b):
-        raise DimensionMismatchError(f"mat_mul {len(a[0])} columns with {len(b)} rows")
-    bt = list(zip(*b)) if b else []
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def transpose(rows, ncols: int | None = None):
-    if rows:
-        return tuple(zip(*rows))
-    if ncols is None:
-        raise DimensionMismatchError("transpose of empty matrix needs ncols")
-    return tuple(() for _ in range(ncols))
 
 
 def rank_of(rows) -> int:

@@ -158,6 +158,27 @@ def brute_force_facets(generators, dim: int):
     return sorted(normals)
 
 
+def brute_force_rays(rows, dim: int):
+    """Extreme rays of a pointed cone {x : row . x >= 0 for every row}.
+
+    Tries every (dim-1)-subset of rows of rank dim - 1, and keeps its null
+    vector with the sign that satisfies every row, if either sign does.
+    """
+    rows = [tuple(r) for r in rows]
+    rays = set()
+    for sub in combinations(rows, dim - 1):
+        if fraction_rank(sub) != dim - 1:
+            continue
+        ray = _solve_nullvector(list(sub), dim)
+        dots = [sum(a * b for a, b in zip(r, ray)) for r in rows]
+        if all(d <= 0 for d in dots):
+            ray = tuple(-c for c in ray)
+        elif not all(d >= 0 for d in dots):
+            continue
+        rays.add(ray)
+    return sorted(rays)
+
+
 def single_flip_pairs(sign_vectors):
     """All (i, j, k), i < j, whose +-1 sign vectors differ exactly at k.
 
@@ -462,7 +483,7 @@ def line_piece_mismatches(config, rho, oracle: FullLineConfig) -> list[str]:
     return problems
 
 
-def _rank(rows) -> int:
+def fraction_rank(rows) -> int:
     """Rank of an integer matrix by Gaussian elimination over Fraction."""
     mat = [[Fraction(c) for c in r] for r in rows]
     rank = 0
@@ -490,7 +511,7 @@ def braid_orbit(n: int, rays) -> int:
     blocks = [1]
     for i in range(n - 1):
         tight = [r for r in rays if r[i] == r[i + 1]]
-        if _rank(tight) == n - 1:
+        if fraction_rank(tight) == n - 1:
             blocks[-1] += 1
         else:
             blocks.append(1)

@@ -19,10 +19,12 @@ from mdsgit.cones import (
     zero_cone,
 )
 from mdsgit.errors import InvariantViolationError
-from mdsgit.linalg import dot
+from mdsgit.linalg import dot, vneg
 from oracles import (
     brute_force_facets,
+    brute_force_rays,
     count_chambers_bruteforce,
+    fraction_rank,
     signs_of,
     single_flip_pairs,
 )
@@ -107,6 +109,37 @@ def test_facets_against_bruteforce(gens):
     if c.dim != 3 or c.lineality:
         return
     assert sorted(c.inequalities) == brute_force_facets(c.generators, 3)
+
+
+@st.composite
+def implicit_equality_systems(draw):
+    """Inequalities with forced opposite pairs and duplicates, plus equations."""
+    dim = draw(st.integers(min_value=3, max_value=4))
+    vec = st.tuples(*[st.integers(min_value=-2, max_value=2)] * dim).filter(any)
+    ineqs = draw(st.lists(vec, min_size=1, max_size=6))
+    opposite = [vneg(h) for h in draw(st.lists(st.sampled_from(ineqs), max_size=2))]
+    duplicates = draw(st.lists(st.sampled_from(ineqs), max_size=2))
+    rows = draw(st.permutations(ineqs + opposite + duplicates))
+    return dim, rows, draw(st.lists(vec, max_size=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(implicit_equality_systems())
+def test_conversion_with_implicit_equalities_against_bruteforce(system):
+    # intermediate cones of the conversion may be lower-dimensional
+    dim, ineqs, eqs = system
+    rows = ineqs + eqs + [vneg(e) for e in eqs]
+    c = cone_from_inequalities(ineqs, eqs, ambient_dim=dim)
+    assert len(c.lineality) == dim - fraction_rank(rows)
+    if not c.lineality:
+        assert list(c.generators) == brute_force_rays(rows, dim)
+
+
+def test_conversion_keeps_the_face_of_an_opposite_pair():
+    rows = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    c = cone_from_inequalities(rows)
+    assert c.generators == ((0, 0, 1), (0, 1, 0)) == tuple(brute_force_rays(rows, 3))
+    assert c.equations == ((1, 0, 0),) and not c.lineality
 
 
 def test_intersect_and_minkowski():

@@ -28,7 +28,7 @@ from mdsgit.errors import (
     RankDeficientWeightsError,
 )
 from mdsgit import toric
-from mdsgit.linalg import dot, vadd, vscale
+from mdsgit.linalg import dot
 from mdsgit.toric import (
     MAX_TABLE_WORK,
     FanValidation,
@@ -181,7 +181,7 @@ def test_cox_weights_exactness(library_fan):
     for k in range(d):
         total = (0,) * ws.rho
         for ray, chi in zip(library_fan.rays, ws.columns):
-            total = vadd(total, vscale(ray[k], chi))
+            total = tuple(t + ray[k] * c for t, c in zip(total, chi))
         assert total == (0,) * ws.rho
     assert ws.rho == len(library_fan.rays) - d
     assert ws.torsion == ()

@@ -124,6 +124,51 @@ def det(rows) -> int:
     return sign * mat[n - 1][n - 1]
 
 
+def primitive_normal(rows) -> IntVec:
+    """Primitive integer normal of the hyperplane spanned by n-1 vectors in Z^n.
+
+    The zero vector when the rows are dependent.  One fraction-free
+    (Bareiss) Gauss-Jordan elimination: after it every pivot equals the
+    last one, D, so setting the free coordinate to D makes the pivot
+    coordinates minus the free column's entries, and every division on the
+    way is exact.  The sign is that of the elimination, not normalized.
+    """
+    n = len(rows) + 1
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatchError(f"normal of {n - 1} rows needs rows of length {n}")
+    mat = [list(r) for r in rows]
+    pivots = []
+    free = None
+    prev = 1
+    for c in range(n):
+        k = len(pivots)
+        for p in range(k, n - 1):
+            if mat[p][c]:
+                break
+        else:
+            if free is not None:
+                return (0,) * n
+            free = c
+            continue
+        row = mat[p]
+        mat[k], mat[p] = row, mat[k]
+        piv = row[c]
+        for i, other in enumerate(mat):
+            if i != k:
+                f = other[c]
+                if f:
+                    mat[i] = [(piv * a - f * b) // prev for a, b in zip(other, row)]
+                elif piv != prev:
+                    mat[i] = [piv * a // prev for a in other]
+        prev = piv
+        pivots.append(c)
+    normal = [0] * n
+    normal[free] = prev
+    for row, c in zip(mat, pivots):
+        normal[c] = -row[free]
+    return primitive(normal)
+
+
 def solve_rational(rows, rhs):
     """One exact solution x of (rows) x = rhs, or None if inconsistent.
 

@@ -2,9 +2,9 @@
 
 Each chamber is the pullback of an ample cone; the chambers whose quotient
 keeps every column tile the moving cone, walls between chambers are small
-or divisorial modifications, and facets on the boundary of the semistable
-cone are fibration directions.  Everything here is verified against
-independent descriptions as it is computed.
+or divisorial modifications or exchanges of two columns, and facets on the
+boundary of the semistable cone are fibration directions.  Everything here
+is verified against independent descriptions as it is computed.
 """
 
 from __future__ import annotations
@@ -180,9 +180,12 @@ def mori_chamber_data(complex_: ChamberComplex, chamber_id: int) -> MoriChamberD
 class WallCrossing:
     """A wall crossing oriented from rays_before to rays_after.
 
-    kind is "small" when both sides keep the same columns and "divisorial"
-    when exactly one column appears or disappears.  picard_delta is the
-    change in the number of quotient rays along the crossing.
+    kind is "small" when both sides keep the same columns, "divisorial"
+    when exactly one column appears or disappears, and "exchange" when
+    each side drops one column the other keeps while both quotient fans
+    are the same set of cones of ray vectors: only the semistable locus
+    changes, the quotient does not.  picard_delta is the change in the
+    number of quotient rays along the crossing.
     """
 
     wall: Wall
@@ -193,15 +196,29 @@ class WallCrossing:
     contracted_columns: tuple[int, ...]
 
 
+def _cones_of_rays(fan: Fan) -> set[frozenset[IntVec]]:
+    return {frozenset(fan.rays[i] for i in cone) for cone in fan.max_cones}
+
+
 def classify_wall(complex_: ChamberComplex, wall: Wall) -> WallCrossing:
-    """Classify a wall, oriented left to right."""
-    before = complex_.quotient(wall.left).used_columns
-    after = complex_.quotient(wall.right).used_columns
+    """Classify a wall, oriented left to right.
+
+    The exchange test compares both quotient fans as sets of cones of ray
+    vectors; when they are equal, the two traded columns have the same
+    primitive Gale ray.  Any other change of columns raises
+    InvariantViolationError.
+    """
+    left = complex_.quotient(wall.left)
+    right = complex_.quotient(wall.right)
+    before, after = left.used_columns, right.used_columns
     sym = sorted(set(before) ^ set(after))
     if not sym:
         kind = "small"
     elif len(sym) == 1:
         kind = "divisorial"
+    elif (len(sym) == 2 and len(before) == len(after)
+          and _cones_of_rays(left.fan) == _cones_of_rays(right.fan)):
+        kind = "exchange"
     else:
         raise InvariantViolationError(
             f"wall between {wall.left} and {wall.right} changes {len(sym)} columns"

@@ -27,21 +27,23 @@ from .errors import (
 )
 from .linalg import (
     IntVec,
-    det,
     dot,
     hermite_normal_form,
     is_zero,
     kernel_basis,
     primitive,
+    primitive_normal,
     rank_of,
     smith_normal_form,
     vneg,
 )
 
-# The simplicial-cone table takes 0.4-0.9 us times rho^4 per rho-subset of
-# columns (measured for rho = 2..12 on a 2-core machine with CPython 3.11),
-# so a system with C(r, rho) * rho^4 above this bound, 5-9 s of table
-# alone, is refused before any subset is walked.
+# The simplicial-cone table takes 0.03-0.08 us times rho^4 per rho-subset
+# of columns for rho = 3..12, and about 0.3 us times rho^4 at rho = 2, where
+# the fixed cost of each subset dominates (measured on a 2-core machine with
+# CPython 3.11).  So a system with C(r, rho) * rho^4 above this bound, under
+# 1 s of table alone for rho >= 3 and about 3 s at rho = 2, is refused
+# before any subset is walked.
 MAX_TABLE_WORK = 10**7
 
 
@@ -192,13 +194,19 @@ class WeightSystem:
         """Each nonsingular rho-subset of columns with the facet normals of its cone.
 
         normals[p] is the primitive inward normal of the facet opposite
-        column subset[p]: zero on the other columns, positive on that one,
-        with entries the signed (rho-1)-minors of the subset.  A character
-        is in the closed cone when every normal is nonnegative on it, and
-        in the interior when every normal is positive.  Empty exactly when
-        the weight matrix has rank below rho.  Raises InputTooLargeError,
-        before walking any subset, when C(r, rho) * rho^4 exceeds
-        MAX_TABLE_WORK.
+        column subset[p]: zero on the other columns, positive on that one.
+        A character is in the closed cone when every normal is nonnegative
+        on it, and in the interior when every normal is positive.  Empty
+        exactly when the weight matrix has rank below rho.  Raises
+        InputTooLargeError, before walking any subset, when
+        C(r, rho) * rho^4 exceeds MAX_TABLE_WORK.
+
+        A facet normal depends only on the rho-1 columns spanning the
+        facet, so each (rho-1)-subset's primitive normal N is computed once
+        (linalg.primitive_normal) and shared by every subset holding it.
+        With v = N . column subset[p], the subset is singular when v = 0
+        (N is zero for dependent columns), and otherwise the inward normal
+        is N or -N as v is positive or negative.
         """
         rho = self.rho
         subsets = comb(self.r, rho)
@@ -207,21 +215,22 @@ class WeightSystem:
                 f"{self.r} weight columns of rank {rho} have {subsets} column subsets "
                 f"to tabulate; at most {MAX_TABLE_WORK // rho**4} are accepted at rank {rho}"
             )
+        columns = self.columns
+        normal_of: dict[tuple[int, ...], IntVec] = {}
         table = []
         for subset in combinations(range(self.r), rho):
-            cols = [self.columns[j] for j in subset]
-            d = det(cols)
-            if d == 0:
-                continue
-            sign = 1 if d > 0 else -1
             normals = []
             for p in range(rho):
-                others = cols[:p] + cols[p + 1:]
-                normals.append(primitive(tuple(
-                    sign * (-1) ** (p + k) * det([c[:k] + c[k + 1:] for c in others])
-                    for k in range(rho)
-                )))
-            table.append((subset, tuple(normals)))
+                face = subset[:p] + subset[p + 1:]
+                n = normal_of.get(face)
+                if n is None:
+                    n = normal_of[face] = primitive_normal([columns[j] for j in face])
+                v = dot(n, columns[subset[p]])
+                if v == 0:
+                    break
+                normals.append(n if v > 0 else vneg(n))
+            else:
+                table.append((subset, tuple(normals)))
         return tuple(table)
 
 

@@ -64,19 +64,21 @@ def count_chambers_bruteforce(hyperplanes, base_rows, dim: int) -> int:
 
 
 def _det(rows) -> Fraction:
+    """Determinant by Laplace expansion along the top row, each minor computed once.
+
+    minors maps a column subset of size k to the determinant of the bottom
+    k rows on those columns; the rows are added from the bottom up.
+    """
     n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(rows[0][0])
-    total = Fraction(0)
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [[r[k] for k in range(n) if k != j] for r in rows[1:]]
-        sign = -1 if j % 2 else 1
-        total += sign * rows[0][j] * _det(minor)
-    return total
+    minors = {(): 1}
+    for size in range(1, n + 1):
+        row = rows[n - size]
+        minors = {
+            cols: sum((-1) ** p * row[j] * minors[cols[:p] + cols[p + 1:]]
+                      for p, j in enumerate(cols) if row[j])
+            for cols in combinations(range(n), size)
+        }
+    return Fraction(minors[tuple(range(n))])
 
 
 def minors_gcd_divisors(rows) -> list[int]:
@@ -99,8 +101,8 @@ def minors_gcd_divisors(rows) -> list[int]:
     return out
 
 
-def _solve_nullvector(rows, dim: int):
-    """One nonzero rational solution of rows . x = 0, or None if only x = 0."""
+def _null_basis(rows, dim: int):
+    """Primitive integer basis of {x : rows . x = 0}, one vector per free column."""
     mat = [[Fraction(c) for c in r] for r in rows]
     pivots = []
     rank = 0
@@ -116,21 +118,23 @@ def _solve_nullvector(rows, dim: int):
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
         pivots.append(col)
         rank += 1
-    free = [c for c in range(dim) if c not in pivots]
-    if not free:
-        return None
-    x = [Fraction(0)] * dim
-    x[free[0]] = Fraction(1)
-    for i, col in enumerate(pivots):
-        x[col] = -mat[i][free[0]]
-    lcm = 1
-    for c in x:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in x]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    return tuple(c // g for c in ints)
+    basis = []
+    for free in (c for c in range(dim) if c not in pivots):
+        x = [Fraction(0)] * dim
+        x[free] = Fraction(1)
+        for i, col in enumerate(pivots):
+            x[col] = -mat[i][free]
+        lcm = 1
+        for c in x:
+            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+        basis.append(_reduce(tuple(int(c * lcm) for c in x)))
+    return basis
+
+
+def _solve_nullvector(rows, dim: int):
+    """One nonzero rational solution of rows . x = 0, or None if only x = 0."""
+    basis = _null_basis(rows, dim)
+    return basis[0] if basis else None
 
 
 def brute_force_facets(generators, dim: int):
@@ -261,6 +265,49 @@ def cramer_coefficients(columns, chi):
             _det(cols[:p] + [list(chi)] + cols[p + 1:]) / d for p in range(rho)
         )
     return out
+
+
+def simplicial_table(columns):
+    """Every nonsingular rho-subset of columns with the inward normals of its facets.
+
+    Walks the subsets in lexicographic order.  A subset is kept when its
+    determinant is nonzero, and the normal opposite its p-th column is the
+    null vector of the other columns, signed positive on the p-th.  The
+    layout is that of WeightSystem.simplicial_cones.
+    """
+    columns = [tuple(c) for c in columns]
+    rho = len(columns[0])
+    table = []
+    for subset in combinations(range(len(columns)), rho):
+        cols = [columns[j] for j in subset]
+        if _det(cols) == 0:
+            continue
+        normals = []
+        for p in range(rho):
+            normal = _solve_nullvector(cols[:p] + cols[p + 1:], rho)
+            if sum(a * b for a, b in zip(normal, cols[p])) < 0:
+                normal = tuple(-c for c in normal)
+            normals.append(normal)
+        table.append((subset, tuple(normals)))
+    return tuple(table)
+
+
+def quotient_cones(columns, chi):
+    """Maximal cones of the quotient fan at chi, as sets of primitive Gale rays.
+
+    A maximal cone is the complement of a column subset whose Cramer
+    coefficients for chi are all positive.  The Gale ray of column j is row
+    j of a rational kernel basis of the weight matrix, so the cones of two
+    characters of one weight system are comparable.
+    """
+    r, rho = len(columns), len(chi)
+    kernel = _null_basis([[c[i] for c in columns] for i in range(rho)], r)
+    gale = [_reduce(tuple(v[j] for v in kernel)) for j in range(r)]
+    return {
+        frozenset(gale[j] for j in range(r) if j not in subset)
+        for subset, coefficients in cramer_coefficients(columns, chi).items()
+        if min(coefficients) > 0
+    }
 
 
 def unstable_supports(columns, chi):

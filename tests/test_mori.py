@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -18,7 +19,11 @@ from conftest import (
     weighted_plane,
 )
 from mdsgit.cones import cone_from_generators, intersect, minkowski_sum
-from mdsgit.errors import DegenerateLinearizationError, NonIntegerEntryError
+from mdsgit.errors import (
+    DegenerateLinearizationError,
+    InvariantViolationError,
+    NonIntegerEntryError,
+)
 from mdsgit.mori import (
     classify_boundary_facet,
     classify_wall,
@@ -29,8 +34,9 @@ from mdsgit.mori import (
     nef_chamber,
     picard_number,
 )
-from mdsgit.toric import cox_weights, g_ample_cone, weight_system
+from mdsgit.toric import cox_weights, g_ample_cone, make_fan, weight_system
 from mdsgit.vgit import chamber_of, enumerate_chambers
+from oracles import quotient_cones
 
 COMPLETE_FANS = [
     projective_plane,
@@ -59,8 +65,6 @@ def test_effective_cone_is_column_hull():
 def test_picard_number():
     assert picard_number(projective_plane()) == 1
     assert picard_number(twice_blown_up_plane()) == 3
-    from mdsgit.toric import make_fan
-
     incomplete = make_fan([(1, 0), (0, 1)], [(0, 1)])
     assert picard_number(incomplete) is None
 
@@ -173,6 +177,68 @@ def test_wall_classification_frozen():
     assert c.contracted_columns == ()
 
 
+def exchange_weights():
+    # columns 0 and 2 have the same Gale ray: both sides give the fan {(1), (-1)}
+    return weight_system([(1, 0), (1, 1), (0, 1)])
+
+
+# one input per wall kind: its only wall, classified left to right, and a
+# factorization from the left chamber's representative to the right one's
+WALL_KINDS = {
+    "small": (flop_weights, 0, ()),
+    "divisorial": (lambda: cox_weights(blown_up_plane()), -1, (3,)),
+    "exchange": (exchange_weights, 0, (0, 2)),
+}
+
+
+@pytest.fixture(params=sorted(WALL_KINDS))
+def wall_kind(request):
+    make, delta, contracted = WALL_KINDS[request.param]
+    return request.param, enumerate_chambers(make()), delta, contracted
+
+
+def test_each_wall_kind(wall_kind):
+    kind, cx, delta, contracted = wall_kind
+    (wall,) = cx.walls
+    c = classify_wall(cx, wall)
+    assert (c.kind, c.picard_delta, c.contracted_columns) == (kind, delta, contracted)
+    assert c.rays_before == cx.quotient(wall.left).used_columns
+    assert c.rays_after == cx.quotient(wall.right).used_columns
+    f = factor_contraction(cx, cx.chambers[wall.left].representative,
+                           cx.chambers[wall.right].representative)
+    assert f.chambers == (wall.left, wall.right)
+    assert f.crossings == (c,)
+    back = factor_contraction(cx, cx.chambers[wall.right].representative,
+                              cx.chambers[wall.left].representative)
+    (r,) = back.crossings
+    assert (r.kind, r.picard_delta, r.contracted_columns) == (kind, -delta, contracted)
+
+
+def test_exchange_wall_keeps_the_quotient():
+    ws = exchange_weights()
+    cx = enumerate_chambers(ws)
+    (wall,) = cx.walls
+    left, right = (cx.chambers[i].representative for i in (wall.left, wall.right))
+    assert quotient_cones(ws.columns, left) == quotient_cones(ws.columns, right)
+    assert cx.quotient(wall.left).dropped_columns == (2,)
+    assert cx.quotient(wall.right).dropped_columns == (0,)
+
+
+def test_classify_wall_refuses_other_column_changes():
+    # an exchange needs equal fans and one column dropped on each side
+    cx = enumerate_chambers(exchange_weights())
+    (wall,) = cx.walls
+    right = cx.quotient(wall.right)
+    assert (cx.quotient(wall.left).used_columns, right.used_columns) == ((0, 1), (1, 2))
+    cx._quotients[wall.right] = replace(right, fan=make_fan([(1,), (-1,)], [(0,)]))
+    with pytest.raises(InvariantViolationError, match="changes 2 columns"):
+        classify_wall(cx, wall)
+    # same fans, but the right drops both of the left's columns and adds none
+    cx._quotients[wall.right] = replace(right, used_columns=(), dropped_columns=(0, 1, 2))
+    with pytest.raises(InvariantViolationError, match="changes 2 columns"):
+        classify_wall(cx, wall)
+
+
 def test_wall_invariants(complete_fan):
     ws = cox_weights(complete_fan)
     cx = enumerate_chambers(ws)
@@ -184,6 +250,7 @@ def test_wall_invariants(complete_fan):
             assert c.picard_delta == 0
             assert c.contracted_columns == ()
         else:
+            # Cox weights have distinct Gale rays, so no wall is an exchange
             assert c.kind == "divisorial"
             assert len(before.symmetric_difference(after)) == 1
             assert abs(c.picard_delta) == 1

@@ -48,6 +48,7 @@ from oracles import (
     cones_meet_in_common_face,
     cramer_coefficients,
     simplicial_collection,
+    simplicial_table,
     spanned_hyperplanes,
     unstable_supports,
 )
@@ -301,6 +302,30 @@ def test_walls_and_quotients_against_oracles(case):
             for subset, x in coefficients.items()
             if min(x) > 0
         }
+
+
+@st.composite
+def degenerate_columns(draw):
+    """1 to 8 columns of length 1 to 5, some zero, parallel or all in one hyperplane."""
+    rho = draw(st.integers(1, 5))
+    r = draw(st.integers(1, 8))
+    column = st.tuples(*[st.integers(-3, 3)] * rho)
+    columns = draw(st.lists(column, min_size=r, max_size=r))
+    index = st.integers(0, r - 1)
+    for i in draw(st.lists(index, max_size=2)):
+        columns[i] = (0,) * rho
+    for i, j, k in draw(st.lists(st.tuples(index, index, st.sampled_from([-2, -1, 2])),
+                                 max_size=2)):
+        columns[i] = tuple(k * x for x in columns[j])
+    if rho > 1 and draw(st.booleans()):
+        columns = [c[:-1] + (c[0],) for c in columns]  # rank below rho
+    return columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(degenerate_columns())
+def test_simplicial_table_against_oracle(columns):
+    assert weight_system(columns).simplicial_cones == simplicial_table(columns)
 
 
 @st.composite

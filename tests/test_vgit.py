@@ -20,7 +20,7 @@ from conftest import (
 )
 from mdsgit.errors import NonIntegerEntryError, RankDeficientWeightsError
 from mdsgit.linalg import dot, rank_of
-from mdsgit.mori import _segment_walk
+from mdsgit.mori import factor_contraction
 from mdsgit.toric import (
     cox_weights,
     g_ample_cone,
@@ -29,7 +29,7 @@ from mdsgit.toric import (
     weight_system,
 )
 from mdsgit.vgit import chamber_of, enumerate_chambers, verify_disjoint_cover
-from oracles import count_chambers_bruteforce
+from oracles import count_chambers_bruteforce, quotient_cones
 
 CHAMBER_COUNTS = [
     (projective_plane, 1),
@@ -209,17 +209,28 @@ def test_random_weights_match_bruteforce(cols):
     )
     assert len(cx.chambers) == expected
     assert verify_disjoint_cover(cx).ok
-    # the segment walk of factor_contraction follows the stored sign masks:
-    # between any two chambers it starts and ends in the right ones, at
-    # strictly increasing times, across walls that join consecutive chambers
+    # factor_contraction walks the stored sign masks: between any two
+    # chambers it starts and ends in the right ones, at strictly increasing
+    # times, across walls that join consecutive chambers, and classifies
+    # each crossing; across an exchange the oracle's quotient fans agree
     for a in cx.chambers:
         for b in cx.chambers:
-            path, walls, times = _segment_walk(cx, a.representative, b.representative)
+            f = factor_contraction(cx, a.representative, b.representative)
+            path, times = f.chambers, f.crossing_times
             assert path[0] == a.id and path[-1] == b.id
             assert all(s < t for s, t in zip(times, times[1:]))
-            assert len(walls) == len(times) == len(path) - 1
-            for cur, nxt, wall in zip(path, path[1:], walls):
-                assert {wall.left, wall.right} == {cur, nxt}
+            assert len(f.crossings) == len(times) == len(path) - 1
+            for cur, nxt, c in zip(path, path[1:], f.crossings):
+                assert {c.wall.left, c.wall.right} == {cur, nxt}
+                assert c.rays_before == cx.quotient(cur).used_columns
+                assert c.rays_after == cx.quotient(nxt).used_columns
+                traded = set(c.rays_before) ^ set(c.rays_after)
+                assert c.contracted_columns == tuple(sorted(traded))
+                assert len(traded) == {"small": 0, "divisorial": 1, "exchange": 2}[c.kind]
+                if c.kind == "exchange":
+                    assert c.picard_delta == 0
+                    assert (quotient_cones(cols, cx.chambers[cur].representative)
+                            == quotient_cones(cols, cx.chambers[nxt].representative))
 
 
 def test_cross_check_detects_strict_refinement():

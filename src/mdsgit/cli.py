@@ -51,12 +51,11 @@ from .npoints import MAX_N, build_config, verify_rho_formula
 from .toric import (
     Fan,
     WeightSystem,
+    _unstable_report,
     cox_weights,
     g_ample_cone,
-    is_complete,
     make_fan,
     quotient_fan_data,
-    unstable_locus,
     validate_fan,
     weight_system,
 )
@@ -311,7 +310,7 @@ def cmd_quotient(args) -> int:
     chi = _parse_character(args.chi, ws.rho)
     data = quotient_fan_data(ws, chi)
     rho_q = picard_number(data.fan)
-    report = unstable_locus(ws, chi)
+    report = _unstable_report(ws.r, data.interior)
     payload = {
         "chi": list(chi),
         "rays": [list(r) for r in data.fan.rays],
@@ -330,7 +329,7 @@ def cmd_quotient(args) -> int:
     ]
     lines += [f"  ray {_vec(r)}" for r in data.fan.rays]
     lines += [f"  cone {list(c)}" for c in data.fan.max_cones]
-    extra = [] if is_complete(data.fan) else ["quotient fan is not complete"]
+    extra = [] if rho_q is not None else ["quotient fan is not complete"]
     _emit(args, payload, lines, doc, extra)
     return 0
 

@@ -27,6 +27,7 @@ from .errors import DimensionMismatchError, InvariantViolationError
 from .linalg import (
     IntVec,
     dot,
+    identity_rows,
     is_zero,
     primitive,
     saturate_rows,
@@ -149,7 +150,7 @@ def _dd_vrep(dim, inequalities, equations) -> tuple[tuple[IntVec, ...], tuple[In
     h = 0 when h is positive on no ray.  Kept rays stay in order and the
     new rays follow them.
     """
-    st = _DDState(dim, list(_eye(dim)), [], [], 0)
+    st = _DDState(dim, list(identity_rows(dim)), [], [], 0)
     for e in equations:
         lin_vals = [sum(map(mul, e, l)) for l in st.lin]
         if any(lin_vals):
@@ -240,20 +241,15 @@ def cone_from_inequalities(inequalities, equations=(), ambient_dim=None) -> Cone
 
 
 def full_space(dim: int) -> Cone:
-    return Cone(dim, (), (), (), _eye(dim))
+    return Cone(dim, (), (), (), identity_rows(dim))
 
 
 def zero_cone(dim: int) -> Cone:
-    return Cone(dim, (), (), _eye(dim), ())
-
-
-def _eye(dim) -> tuple[IntVec, ...]:
-    """Rows of the identity matrix, which is its own Hermite normal form."""
-    return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    return Cone(dim, (), (), identity_rows(dim), ())
 
 
 def positive_orthant(dim: int) -> Cone:
-    eye = tuple(sorted(_eye(dim)))
+    eye = tuple(sorted(identity_rows(dim)))
     return Cone(dim, eye, eye, (), ())
 
 

@@ -71,31 +71,13 @@ def to_int_vec(a) -> IntVec:
 
 
 def identity_rows(n: int) -> IntRows:
+    """Rows of the n x n identity matrix, which is its own Hermite form."""
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def rank_of(rows) -> int:
-    """Rank of a matrix with int or Fraction entries."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    m = len(mat)
-    if m == 0:
-        return 0
-    n = len(mat[0])
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if mat[i][c] != 0), None)
-        if p is None:
-            continue
-        mat[r], mat[p] = mat[p], mat[r]
-        pv = mat[r][c]
-        for i in range(r + 1, m):
-            if mat[i][c] != 0:
-                f = mat[i][c] / pv
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+    """Rank of an integer matrix: the row count of its Hermite form."""
+    return len(hermite_normal_form(rows))
 
 
 def det(rows) -> int:

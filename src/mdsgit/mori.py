@@ -20,8 +20,8 @@ from .cones import (
     minkowski_sum,
 )
 from .errors import DegenerateLinearizationError, InvariantViolationError
-from .linalg import IntVec, dot
-from .toric import Fan, _check_chi, canonicalize_fan, is_complete
+from .linalg import IntVec, dot, identity_rows
+from .toric import Fan, WeightSystem, _check_chi, canonicalize_fan, is_complete
 from .vgit import Chamber, ChamberComplex, Wall, chamber_of
 
 
@@ -30,6 +30,17 @@ def picard_number(fan: Fan) -> int | None:
     if not is_complete(fan):
         return None
     return len(fan.rays) - fan.ambient_dim
+
+
+def _meet_of_column_cones(ws: WeightSystem, left_out) -> Cone | None:
+    """Intersection, in order, of pos(columns not in s) over s in left_out; None if empty."""
+    meet = None
+    for s in left_out:
+        piece = cone_from_generators(
+            [c for j, c in enumerate(ws.columns) if j not in s], ambient_dim=ws.rho
+        )
+        meet = piece if meet is None else intersect(meet, piece)
+    return meet
 
 
 @dataclass(frozen=True)
@@ -50,12 +61,7 @@ def moving_cone(complex_: ChamberComplex) -> MovingConeResult:
     if complex_._moving is not None:
         return complex_._moving
     ws = complex_.weights
-    oracle = None
-    for i in range(ws.r):
-        piece = cone_from_generators(
-            [c for j, c in enumerate(ws.columns) if j != i], ambient_dim=ws.rho
-        )
-        oracle = piece if oracle is None else intersect(oracle, piece)
+    oracle = _meet_of_column_cones(ws, ((i,) for i in range(ws.r)))
     all_columns = tuple(range(ws.r))
     ids = tuple(
         ch.id for ch in complex_.chambers
@@ -104,13 +110,7 @@ def nef_chamber(complex_: ChamberComplex, fan: Fan) -> Chamber:
         raise DegenerateLinearizationError(
             f"fan has {len(fan.rays)} rays but the grading has {ws.r} columns"
         )
-    nef = None
-    for sigma in fan.max_cones:
-        piece = cone_from_generators(
-            [c for j, c in enumerate(ws.columns) if j not in sigma],
-            ambient_dim=ws.rho,
-        )
-        nef = piece if nef is None else intersect(nef, piece)
+    nef = _meet_of_column_cones(ws, fan.max_cones)
     match = next((ch for ch in complex_.chambers if ch.cone == nef), None)
     if match is None:
         raise DegenerateLinearizationError(
@@ -274,8 +274,7 @@ def classify_boundary_facet(complex_: ChamberComplex, index: int) -> BoundaryCon
         tuple([ws.columns[i][j] for i in range(r)] + [-chi[j]])
         for j in range(ws.rho)
     ]
-    orthant = [tuple(int(i == j) for j in range(r + 1)) for i in range(r + 1)]
-    lifted = cone_from_inequalities(orthant, equations, ambient_dim=r + 1)
+    lifted = cone_from_inequalities(identity_rows(r + 1), equations, ambient_dim=r + 1)
     quotient_dim = lifted.dim - 1
     full_dim = ws.r - ws.rho
     return BoundaryContraction(

@@ -314,15 +314,30 @@ def _check_chi(ws: WeightSystem, chi) -> IntVec:
 
 @dataclass(frozen=True)
 class QuotientData:
-    """Quotient fan of a chamber together with the column bookkeeping."""
+    """Quotient fan of a chamber together with the column bookkeeping.
+
+    interior holds the column bitmasks of the table subsets whose open
+    cone holds the character (see _interior_masks); the maximal cones are
+    their complements.
+    """
 
     fan: Fan
     used_columns: tuple[int, ...]
     dropped_columns: tuple[int, ...]
+    interior: tuple[int, ...]
 
 
-def _interior_masks(ws: WeightSystem, chi) -> list[int]:
-    """Column bitmasks of the table subsets whose open cone holds chi.
+def _full_rank_table(ws: WeightSystem):
+    """ws.simplicial_cones, or RankDeficientWeightsError when it is empty."""
+    if not ws.simplicial_cones:
+        raise RankDeficientWeightsError(
+            f"weight matrix has rank below {ws.rho}; no chamber is full-dimensional"
+        )
+    return ws.simplicial_cones
+
+
+def _interior_masks(ws: WeightSystem, chi) -> tuple[int, ...]:
+    """Column bitmasks of the table subsets whose open cone holds chi, in table order.
 
     Raises RankDeficientWeightsError when the table is empty,
     EmptySemistableLocusError when no closed table cone holds chi (chi is
@@ -330,14 +345,10 @@ def _interior_masks(ws: WeightSystem, chi) -> list[int]:
     lies on a hyperplane of the table.
     """
     chi = _check_chi(ws, chi)
-    if not ws.simplicial_cones:
-        raise RankDeficientWeightsError(
-            f"weight matrix has rank below {ws.rho}; no chamber is full-dimensional"
-        )
     semistable = False
     wall = None
     interior = []
-    for subset, normals in ws.simplicial_cones:
+    for subset, normals in _full_rank_table(ws):
         values = [dot(h, chi) for h in normals]
         if min(values) >= 0:
             semistable = True
@@ -354,7 +365,7 @@ def _interior_masks(ws: WeightSystem, chi) -> list[int]:
             f"character {chi} lies on a wall or on the boundary of the semistable "
             f"cone: the hyperplane with normal {wall}"
         )
-    return interior
+    return tuple(interior)
 
 
 def quotient_fan_data(ws: WeightSystem, chi) -> QuotientData:
@@ -385,7 +396,7 @@ def quotient_fan_data(ws: WeightSystem, chi) -> QuotientData:
             "quotient fan failed validation: " + "; ".join(report.issues)
         )
     dropped = tuple(i for i in range(ws.r) if i not in position)
-    return QuotientData(fan, tuple(used), dropped)
+    return QuotientData(fan, tuple(used), dropped, interior)
 
 
 @dataclass(frozen=True)
@@ -441,7 +452,11 @@ def unstable_locus(ws: WeightSystem, chi) -> UnstableReport:
         interior = _interior_masks(ws, chi)
     except EmptySemistableLocusError:
         interior = []
-    r = ws.r
+    return _unstable_report(ws.r, interior)
+
+
+def _unstable_report(r: int, interior) -> UnstableReport:
+    """The unstable_locus report of r columns from the interior masks of chi."""
     strata = tuple(sorted(
         tuple(i for i in range(r) if not t >> i & 1)
         for t in _minimal_transversals(interior)

@@ -267,6 +267,18 @@ def cramer_coefficients(columns, chi):
     return out
 
 
+def table_keys(columns, points):
+    """The key of each point: the set of column subsets whose open cone holds it.
+
+    A subset's open simplicial cone holds a point when every Cramer
+    coefficient of the point in that subset is positive.
+    """
+    return [
+        frozenset(s for s, coeffs in cramer_coefficients(columns, p).items() if min(coeffs) > 0)
+        for p in points
+    ]
+
+
 def simplicial_table(columns):
     """Every nonsingular rho-subset of columns with the inward normals of its facets.
 

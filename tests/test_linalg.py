@@ -22,7 +22,7 @@ from mdsgit.linalg import (
     to_int_vec,
     vsub,
 )
-from oracles import minors_gcd_divisors
+from oracles import fraction_rank, minors_gcd_divisors
 
 small_entries = st.integers(min_value=-9, max_value=9)
 
@@ -58,6 +58,25 @@ def test_det_and_rank():
     assert det([[1, 2], [2, 4]]) == 0
     assert det([[0, 1], [1, 0]]) == -1
     assert rank_of([[1, 2], [2, 4], [0, 1]]) == 2
+    assert rank_of([]) == rank_of([[0, 0]]) == 0
+
+
+@st.composite
+def matrices_with_dependent_rows(draw):
+    m = draw(matrices())
+    n = len(m[0])
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        coeffs = draw(st.lists(small_entries, min_size=len(m), max_size=len(m)))
+        m.append([sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(n)])
+    if draw(st.booleans()):
+        m.append([0] * n)
+    return draw(st.permutations(m))
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrices_with_dependent_rows())
+def test_rank_of_against_fraction_rank(m):
+    assert rank_of(m) == fraction_rank(m)
 
 
 def test_smith_normal_form_frozen():
@@ -117,7 +136,7 @@ def test_hermite_normal_form_properties(m):
         assert _in_row_space(h, row)
     for row in h:
         assert _in_row_space(m, row)
-    assert rank_of(h) == rank_of(m)
+    assert len(h) == fraction_rank(h) == fraction_rank(m)
 
 
 def _in_row_space(rows, target):
@@ -137,9 +156,8 @@ def test_kernel_basis_properties(m):
     basis = kernel_basis(m, ncols)
     for b in basis:
         assert all(dot(row, b) == 0 for row in m)
-    assert len(basis) == ncols - rank_of(m)
-    if basis:
-        assert rank_of(basis) == len(basis)
+    assert len(basis) == ncols - fraction_rank(m)
+    assert fraction_rank(basis) == len(basis)
 
 
 def test_kernel_is_saturated():

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -18,7 +18,11 @@ from conftest import (
     twice_blown_up_plane,
     weighted_plane,
 )
-from mdsgit.errors import NonIntegerEntryError, RankDeficientWeightsError
+from mdsgit.errors import (
+    InvariantViolationError,
+    NonIntegerEntryError,
+    RankDeficientWeightsError,
+)
 from mdsgit.linalg import dot, rank_of
 from mdsgit.mori import factor_contraction
 from mdsgit.toric import (
@@ -29,7 +33,7 @@ from mdsgit.toric import (
     weight_system,
 )
 from mdsgit.vgit import chamber_of, enumerate_chambers, verify_disjoint_cover
-from oracles import count_chambers_bruteforce, quotient_cones
+from oracles import count_chambers_bruteforce, fraction_rank, quotient_cones, table_keys
 
 CHAMBER_COUNTS = [
     (projective_plane, 1),
@@ -247,3 +251,47 @@ def test_cross_check_detects_strict_refinement():
         wall_hyperplanes(ws), g_ample_cone(ws).inequalities, 3
     )
     assert len(cx.chambers) == expected == 15
+
+
+RANK3_COLUMNS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1), (-2, 1, 1)]
+
+
+def _first_shared_key(columns, cx):
+    """Lowest chamber id whose oracle key another chamber of cx shares, or None."""
+    keys = table_keys(columns, [ch.representative for ch in cx.chambers])
+    return next((i for i, key in enumerate(keys) if keys.count(key) > 1), None)
+
+
+@st.composite
+def full_rank_columns(draw):
+    # entries of both signs, so many effective cones are not pointed
+    rho = draw(st.integers(min_value=1, max_value=3))
+    return draw(
+        st.lists(st.tuples(*[small] * rho), min_size=rho, max_size=6).filter(
+            lambda cols: fraction_rank(cols) == rho
+        )
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@example(RANK3_COLUMNS)
+@example([(1,), (-1,), (2,)])
+@example([(1, 0), (0, 1), (-1, 0), (-1, -1)])
+@given(full_rank_columns())
+def test_cross_check_refuses_exactly_repeated_keys(cols):
+    # below the gate, enumerate_chambers raises exactly when two cells of
+    # the split share a key, and names the lowest such chamber
+    ws = weight_system(cols)
+    cells = enumerate_chambers(ws, cross_check=False)
+    first = _first_shared_key(cols, cells)
+    if first is None:
+        assert enumerate_chambers(ws).chambers == cells.chambers
+    else:
+        with pytest.raises(InvariantViolationError, match=f"^chamber {first} disagrees "):
+            enumerate_chambers(ws)
+
+
+def test_rank3_cells_and_keys():
+    cx = enumerate_chambers(weight_system(RANK3_COLUMNS), cross_check=False)
+    keys = table_keys(RANK3_COLUMNS, [ch.representative for ch in cx.chambers])
+    assert (len(cx.chambers), len(set(keys))) == (15, 9)

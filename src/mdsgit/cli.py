@@ -11,8 +11,9 @@ The key "max_cones" is accepted as an alias for "cones".  Exit codes:
 0 success, 1 failed verification or internal error, 2 usage or parse
 error, 3 validation error (invalid fan, rank-deficient weights, or a
 character with empty semistable locus), 4 degenerate linearization
-(the character sits on a wall instead of inside a chamber), 141 standard
-output closed before the report was written (as for a SIGPIPE death).
+(the character sits on a wall instead of inside a chamber, or the fan is
+no single chamber's quotient), 141 standard output closed before the
+report was written (as for a SIGPIPE death).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +44,6 @@ from .mori import (
     classify_wall,
     enumerate_sqms,
     factor_contraction,
-    mori_chamber_data,
     moving_cone,
     nef_chamber,
     picard_number,
@@ -145,10 +146,10 @@ def _load_input(path: str) -> LoadedInput:
 
 
 def _parse_character(text: str, rho: int) -> tuple[int, ...]:
-    try:
-        chi = tuple(int(part) for part in text.split(","))
-    except ValueError:
+    parts = text.split(",")
+    if not all(re.fullmatch(r"[+-]?[0-9]+", part) for part in parts):
         _fail(f"character must be comma separated integers, got {text!r}")
+    chi = tuple(int(part) for part in parts)
     if len(chi) != rho:
         _fail(f"character has {len(chi)} entries, expected {rho}")
     return chi
@@ -252,13 +253,13 @@ def cmd_nef(args) -> int:
     fan = _require_fan(doc.fan)
     cx = enumerate_chambers(doc.weights)
     ch = nef_chamber(cx, fan)
-    data = mori_chamber_data(cx, ch.id)
+    rho_q = picard_number(cx.quotient(ch.id).fan)
     payload = {
         "chamber_id": ch.id,
         "generators": [list(g) for g in ch.cone.generators],
-        "picard_number": data.picard_number,
+        "picard_number": rho_q,
     }
-    lines = [f"nef chamber {ch.id}, picard number {data.picard_number}"]
+    lines = [f"nef chamber {ch.id}, picard number {rho_q}"]
     lines += [f"  generator {_vec(g)}" for g in ch.cone.generators]
     _emit(args, payload, lines, doc)
     return 0
@@ -338,10 +339,9 @@ def _factor_endpoint(cx, text: str, label: str):
     """A character, or for rank above one a bare chamber id."""
     ws = cx.weights
     if "," not in text and ws.rho > 1:
-        try:
-            cid = int(text)
-        except ValueError:
+        if not re.fullmatch(r"[+-]?[0-9]+", text):
             _fail(f"{label} must be a character or a chamber id, got {text!r}")
+        cid = int(text)
         if not 0 <= cid < len(cx.chambers):
             _fail(f"{label} chamber id {cid} out of range, "
                   f"have {len(cx.chambers)} chambers")

@@ -21,7 +21,7 @@ from .cones import (
 )
 from .errors import DegenerateLinearizationError, InvariantViolationError
 from .linalg import IntVec, dot, identity_rows
-from .toric import Fan, WeightSystem, _check_chi, canonicalize_fan, is_complete
+from .toric import Fan, _check_chi, _interior_masks, canonicalize_fan, is_complete
 from .vgit import Chamber, ChamberComplex, Wall, chamber_of
 
 
@@ -30,17 +30,6 @@ def picard_number(fan: Fan) -> int | None:
     if not is_complete(fan):
         return None
     return len(fan.rays) - fan.ambient_dim
-
-
-def _meet_of_column_cones(ws: WeightSystem, left_out) -> Cone | None:
-    """Intersection, in order, of pos(columns not in s) over s in left_out; None if empty."""
-    meet = None
-    for s in left_out:
-        piece = cone_from_generators(
-            [c for j, c in enumerate(ws.columns) if j not in s], ambient_dim=ws.rho
-        )
-        meet = piece if meet is None else intersect(meet, piece)
-    return meet
 
 
 @dataclass(frozen=True)
@@ -61,7 +50,12 @@ def moving_cone(complex_: ChamberComplex) -> MovingConeResult:
     if complex_._moving is not None:
         return complex_._moving
     ws = complex_.weights
-    oracle = _meet_of_column_cones(ws, ((i,) for i in range(ws.r)))
+    oracle = None
+    for i in range(ws.r):
+        piece = cone_from_generators(
+            [c for j, c in enumerate(ws.columns) if j != i], ambient_dim=ws.rho
+        )
+        oracle = piece if oracle is None else intersect(oracle, piece)
     all_columns = tuple(range(ws.r))
     ids = tuple(
         ch.id for ch in complex_.chambers
@@ -101,29 +95,31 @@ def moving_cone(complex_: ChamberComplex) -> MovingConeResult:
 def nef_chamber(complex_: ChamberComplex, fan: Fan) -> Chamber:
     """The chamber whose quotient is the given fan.
 
-    Computed directly as the intersection, over maximal cones, of the cones
-    spanned by the complementary weight columns; cross-checked by comparing
-    the chamber's quotient fan with the input fan in canonical coordinates.
+    Found by its key (Berchtold–Hausen): the table subsets whose open cone
+    holds the fan's chamber are exactly the complements of its maximal
+    cones.  Cross-checked by comparing the chamber's quotient fan with the
+    input fan in canonical coordinates, which tests the Cox/Gale round trip.
     """
     ws = complex_.weights
     if len(fan.rays) != ws.r:
         raise DegenerateLinearizationError(
             f"fan has {len(fan.rays)} rays but the grading has {ws.r} columns"
         )
-    nef = _meet_of_column_cones(ws, fan.max_cones)
-    match = next((ch for ch in complex_.chambers if ch.cone == nef), None)
-    if match is None:
+    full = (1 << ws.r) - 1
+    key = {full ^ sum(1 << i for i in cone) for cone in fan.max_cones}
+    matches = [ch for ch in complex_.chambers
+               if set(_interior_masks(ws, ch.representative)) == key]
+    if len(matches) != 1:
         raise DegenerateLinearizationError(
-            "the fan's ample classes do not form a full-dimensional chamber"
+            "no single chamber has this fan as its quotient: "
+            f"{len(matches)} chambers have its key"
         )
-    qd = complex_.quotient(match.id)
-    if qd.used_columns != tuple(range(ws.r)):
-        raise InvariantViolationError("nef chamber quotient dropped a column")
+    qd = complex_.quotient(matches[0].id)
     if canonicalize_fan(qd.fan) != canonicalize_fan(fan):
         raise InvariantViolationError(
             "nef chamber quotient does not reproduce the input fan"
         )
-    return match
+    return matches[0]
 
 
 def enumerate_sqms(complex_: ChamberComplex, chamber_id: int) -> tuple[int, ...]:

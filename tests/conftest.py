@@ -12,6 +12,12 @@ def projective_plane() -> Fan:
     return make_fan(rays, [(0, 1), (0, 2), (1, 2)])
 
 
+def projective_plane_minus_a_cone() -> Fan:
+    """P^2 without the cone (1, 2): a valid fan that no chamber has as its quotient."""
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    return make_fan(rays, [(0, 1), (0, 2)])
+
+
 def product_of_lines() -> Fan:
     rays = [(1, 0), (-1, 0), (0, 1), (0, -1)]
     return make_fan(rays, [(0, 2), (0, 3), (1, 2), (1, 3)])

@@ -67,6 +67,15 @@ def test_nef(blp2_file, capsys):
     assert out.startswith("nef chamber 1, picard number 2\n")
 
 
+def test_nef_and_sqms_refuse_a_fan_no_chamber_gives(tmp_path, capsys):
+    path = tmp_path / "p2_minus_a_cone.json"
+    path.write_text(json.dumps({"fan": {"rays": [[1, 0], [0, 1], [-1, -1]],
+                                        "cones": [[0, 1], [0, 2]]}}))
+    for command in ("nef", "sqms"):
+        assert main([command, str(path)]) == 4
+        assert "no single chamber has this fan as its quotient" in capsys.readouterr().err
+
+
 def test_nef_needs_fan(flop_file, capsys):
     assert main(["nef", flop_file]) == 2
     assert "needs fan input" in capsys.readouterr().err
@@ -107,6 +116,9 @@ def test_quotient_exit_codes(blp2_file, tmp_path, capsys):
     assert main(["quotient", blp2_file, "--chi", "0,1"]) == 4  # on the boundary
     assert main(["quotient", blp2_file, "--chi", "1,2,3"]) == 2  # wrong length
     assert main(["quotient", blp2_file, "--chi", "a,b"]) == 2
+    # int() would read each of these as the interior character (20, -10) or (2, -1)
+    for chi in ("2_0,-1_0", " 2,-1", "2,-1 ", "2, -1", "\u0662,-1"):
+        assert main(["quotient", blp2_file, "--chi", chi]) == 2
     capsys.readouterr()
     rank_deficient = tmp_path / "rank_deficient.json"
     rank_deficient.write_text(json.dumps({"weights": {"columns": [[1, 0], [2, 0], [-1, 0]]}}))
@@ -293,6 +305,10 @@ def test_factor_accepts_chamber_ids(blp2_file, capsys):
     assert data["crossings"][0]["kind"] == "divisorial"
     assert main(["factor", blp2_file, "--from", "9", "--to", "0"]) == 2
     assert "out of range" in capsys.readouterr().err
+    # int() would read each of these as chamber 1 or the character (2, -1)
+    for endpoint in ("0_1", " 1", "1\n", "\u0661", "2, -1", "2_0,-1_0"):
+        assert main(["factor", blp2_file, "--from", endpoint, "--to", "0"]) == 2
+    assert "--from must be a character or a chamber id" in capsys.readouterr().err
 
 
 def test_torsion_warning(tmp_path, capsys):

@@ -15,6 +15,7 @@ from conftest import (
     hirzebruch,
     product_of_lines,
     projective_plane,
+    projective_plane_minus_a_cone,
     twice_blown_up_plane,
     weighted_plane,
 )
@@ -36,7 +37,7 @@ from mdsgit.mori import (
 )
 from mdsgit.toric import cox_weights, g_ample_cone, make_fan, weight_system
 from mdsgit.vgit import chamber_of, enumerate_chambers
-from oracles import quotient_cones
+from oracles import quotient_cones, table_keys
 
 COMPLETE_FANS = [
     projective_plane,
@@ -114,6 +115,40 @@ def test_nef_chamber_rejects_foreign_fan():
     cx = enumerate_chambers(ws)
     with pytest.raises(DegenerateLinearizationError):
         nef_chamber(cx, projective_plane())  # wrong number of rays
+
+
+def _meet_of_complement_cones(ws, fan):
+    """The nef cone as a meet: pos(columns outside sigma), intersected over maximal sigma."""
+    meet = None
+    for sigma in fan.max_cones:
+        piece = cone_from_generators(
+            [c for j, c in enumerate(ws.columns) if j not in sigma], ambient_dim=ws.rho
+        )
+        meet = piece if meet is None else intersect(meet, piece)
+    return meet
+
+
+def test_nef_chamber_is_the_one_chamber_with_the_fan_key(complete_fan):
+    # complete_fan runs the same ten fans as library_fan in test_toric.py
+    fan = complete_fan
+    ws = cox_weights(fan)
+    cx = enumerate_chambers(ws)
+    nef = nef_chamber(cx, fan).id
+    complements = [tuple(i for i in range(ws.r) if i not in sigma) for sigma in fan.max_cones]
+    keys = table_keys(ws.columns, [ch.representative for ch in cx.chambers])
+    assert [i for i, key in enumerate(keys) if key == frozenset(complements)] == [nef]
+    meet = _meet_of_complement_cones(ws, fan)
+    assert [ch.id for ch in cx.chambers if ch.cone == meet] == [nef]
+
+
+def test_nef_chamber_refuses_a_fan_no_chamber_gives():
+    fan = projective_plane_minus_a_cone()
+    ws = cox_weights(fan)
+    cx = enumerate_chambers(ws)
+    # the meet of the complement cones is P^2's chamber, whose key has one more subset
+    assert [ch.cone for ch in cx.chambers] == [_meet_of_complement_cones(ws, fan)]
+    with pytest.raises(DegenerateLinearizationError, match="no single chamber has this fan"):
+        nef_chamber(cx, fan)
 
 
 def test_sqms_flop():

@@ -107,7 +107,8 @@ def _load_input(path: str) -> LoadedInput:
         data = json.loads(raw)
     except OSError as exc:
         _fail(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder can follow
         _fail(f"invalid JSON in {path}: {exc}")
     if not isinstance(data, dict):
         _fail("input must be a JSON object")

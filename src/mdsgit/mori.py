@@ -3,25 +3,21 @@
 Each chamber is the pullback of an ample cone; the chambers whose quotient
 keeps every column tile the moving cone, walls between chambers are small
 or divisorial modifications or exchanges of two columns, and facets on the
-boundary of the semistable cone are fibration directions.  Everything here
-is verified against independent descriptions as it is computed.
+boundary of the semistable cone are fibration directions.  Used columns
+and wall kinds are read off chamber keys; a quotient fan is built only
+where one is printed or compared.  Everything here is verified against
+independent descriptions as it is computed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .cones import (
-    Cone,
-    cone_from_generators,
-    cone_from_inequalities,
-    intersect,
-    minkowski_sum,
-)
+from .cones import Cone, cone_from_generators, intersect, minkowski_sum
 from .errors import DegenerateLinearizationError, InvariantViolationError
-from .linalg import IntVec, dot, identity_rows
-from .toric import Fan, _check_chi, _interior_masks, canonicalize_fan, is_complete
+from .linalg import IntVec, dot, primitive
+from .toric import Fan, _check_chi, canonicalize_fan, gale_dual, is_complete
 from .vgit import Chamber, ChamberComplex, Wall, chamber_of
 
 
@@ -58,8 +54,7 @@ def moving_cone(complex_: ChamberComplex) -> MovingConeResult:
         oracle = piece if oracle is None else intersect(oracle, piece)
     all_columns = tuple(range(ws.r))
     ids = tuple(
-        ch.id for ch in complex_.chambers
-        if complex_.quotient(ch.id).used_columns == all_columns
+        ch.id for ch in complex_.chambers if complex_.used_columns(ch.id) == all_columns
     )
     if ids:
         gens: list[IntVec] = []
@@ -107,8 +102,7 @@ def nef_chamber(complex_: ChamberComplex, fan: Fan) -> Chamber:
         )
     full = (1 << ws.r) - 1
     key = {full ^ sum(1 << i for i in cone) for cone in fan.max_cones}
-    matches = [ch for ch in complex_.chambers
-               if set(_interior_masks(ws, ch.representative)) == key]
+    matches = [ch for ch in complex_.chambers if set(complex_.key(ch.id)) == key]
     if len(matches) != 1:
         raise DegenerateLinearizationError(
             "no single chamber has this fan as its quotient: "
@@ -124,11 +118,8 @@ def nef_chamber(complex_: ChamberComplex, fan: Fan) -> Chamber:
 
 def enumerate_sqms(complex_: ChamberComplex, chamber_id: int) -> tuple[int, ...]:
     """Chambers whose quotient uses the same columns (small modifications of each other)."""
-    used = complex_.quotient(chamber_id).used_columns
-    return tuple(
-        ch.id for ch in complex_.chambers
-        if complex_.quotient(ch.id).used_columns == used
-    )
+    used = complex_.used_columns(chamber_id)
+    return tuple(ch.id for ch in complex_.chambers if complex_.used_columns(ch.id) == used)
 
 
 @dataclass(frozen=True)
@@ -192,52 +183,47 @@ class WallCrossing:
     contracted_columns: tuple[int, ...]
 
 
-def _cones_of_rays(fan: Fan) -> set[frozenset[IntVec]]:
-    return {frozenset(fan.rays[i] for i in cone) for cone in fan.max_cones}
+def _same_gale_cones(complex_: ChamberComplex, wall: Wall) -> bool:
+    """Whether both sides' quotient fans are the same cones of ray vectors.
+
+    Each key subset gives one cone: the primitive Gale rays of the columns outside it.
+    """
+    gale = [primitive(g) for g in gale_dual(complex_.weights)]
+    left, right = (
+        {frozenset(g for i, g in enumerate(gale) if not mask >> i & 1)
+         for mask in complex_.key(side)}
+        for side in (wall.left, wall.right)
+    )
+    return left == right
 
 
 def classify_wall(complex_: ChamberComplex, wall: Wall) -> WallCrossing:
-    """Classify a wall, oriented left to right.
+    """Classify a wall, oriented left to right, from the keys of its two chambers.
 
     The exchange test compares both quotient fans as sets of cones of ray
     vectors; when they are equal, the two traded columns have the same
     primitive Gale ray.  Any other change of columns raises
     InvariantViolationError.
     """
-    left = complex_.quotient(wall.left)
-    right = complex_.quotient(wall.right)
-    before, after = left.used_columns, right.used_columns
+    before = complex_.used_columns(wall.left)
+    after = complex_.used_columns(wall.right)
     sym = sorted(set(before) ^ set(after))
     if not sym:
         kind = "small"
     elif len(sym) == 1:
         kind = "divisorial"
-    elif (len(sym) == 2 and len(before) == len(after)
-          and _cones_of_rays(left.fan) == _cones_of_rays(right.fan)):
+    elif len(sym) == 2 and len(before) == len(after) and _same_gale_cones(complex_, wall):
         kind = "exchange"
     else:
         raise InvariantViolationError(
             f"wall between {wall.left} and {wall.right} changes {len(sym)} columns"
         )
-    return WallCrossing(
-        wall=wall,
-        kind=kind,
-        rays_before=before,
-        rays_after=after,
-        picard_delta=len(after) - len(before),
-        contracted_columns=tuple(sym),
-    )
+    return WallCrossing(wall, kind, before, after, len(after) - len(before), tuple(sym))
 
 
 def _reverse_crossing(c: WallCrossing) -> WallCrossing:
-    return WallCrossing(
-        wall=c.wall,
-        kind=c.kind,
-        rays_before=c.rays_after,
-        rays_after=c.rays_before,
-        picard_delta=-c.picard_delta,
-        contracted_columns=c.contracted_columns,
-    )
+    return replace(c, rays_before=c.rays_after, rays_after=c.rays_before,
+                   picard_delta=-c.picard_delta)
 
 
 @dataclass(frozen=True)
@@ -259,27 +245,21 @@ class BoundaryContraction:
 def classify_boundary_facet(complex_: ChamberComplex, index: int) -> BoundaryContraction:
     """Dimension bookkeeping for a boundary facet of the semistable cone.
 
-    The quotient dimension at a character chi is one less than the
-    dimension of the cone {(a, t) : a >= 0, t >= 0, sum a_i column_i = t chi}.
+    The quotient dimension at a character chi is dim L - 1 for the lifted
+    cone L = {(a, t) >= 0 : sum a_i column_i = t chi}, which is |F| - (rho - 1)
+    for the columns F on the facet's hyperplane.  Proof: chi lies in the
+    relative interior of a facet of the semistable cone, whose inward normal
+    u is >= 0 on every column, so applying u gives a_i = 0 off F.  The
+    columns in F span u = 0 and have chi as a positive combination, so L is
+    full-dimensional in the kernel of (a_F, t) -> sum a_i column_i - t chi,
+    of dimension |F| + 1 - (rho - 1).
     """
     ws = complex_.weights
     bf = complex_.boundary_facets[index]
     chi = bf.facet.relative_interior_point()
-    r = ws.r
-    equations = [
-        tuple([ws.columns[i][j] for i in range(r)] + [-chi[j]])
-        for j in range(ws.rho)
-    ]
-    lifted = cone_from_inequalities(identity_rows(r + 1), equations, ambient_dim=r + 1)
-    quotient_dim = lifted.dim - 1
-    full_dim = ws.r - ws.rho
-    return BoundaryContraction(
-        boundary_facet_index=index,
-        chamber=bf.chamber,
-        character=chi,
-        quotient_dim=quotient_dim,
-        fiber_dim=full_dim - quotient_dim,
-    )
+    quotient_dim = sum(1 for c in ws.columns if dot(bf.normal, c) == 0) - (ws.rho - 1)
+    fiber_dim = ws.r - ws.rho - quotient_dim
+    return BoundaryContraction(index, bf.chamber, chi, quotient_dim, fiber_dim)
 
 
 @dataclass(frozen=True)

@@ -368,6 +368,11 @@ def _interior_masks(ws: WeightSystem, chi) -> tuple[int, ...]:
     return tuple(interior)
 
 
+def _used_columns(r: int, interior) -> tuple[int, ...]:
+    """Columns outside at least one of the masks: those the quotient fan uses."""
+    return tuple(i for i in range(r) if any(not mask >> i & 1 for mask in interior))
+
+
 def quotient_fan_data(ws: WeightSystem, chi) -> QuotientData:
     """Quotient fan for a character in the interior of a chamber.
 
@@ -383,7 +388,7 @@ def quotient_fan_data(ws: WeightSystem, chi) -> QuotientData:
     complements = [
         tuple(i for i in range(ws.r) if not mask >> i & 1) for mask in interior
     ]
-    used = sorted(set().union(*[set(c) for c in complements]))
+    used = _used_columns(ws.r, interior)
     position = {col: idx for idx, col in enumerate(used)}
     fan = make_fan(
         [gale[i] for i in used],
@@ -396,7 +401,7 @@ def quotient_fan_data(ws: WeightSystem, chi) -> QuotientData:
             "quotient fan failed validation: " + "; ".join(report.issues)
         )
     dropped = tuple(i for i in range(ws.r) if i not in position)
-    return QuotientData(fan, tuple(used), dropped, interior)
+    return QuotientData(fan, used, dropped, interior)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .toric import (
     _check_chi,
     _full_rank_table,
     _interior_masks,
+    _used_columns,
     g_ample_cone,
     quotient_fan_data,
     wall_hyperplanes,
@@ -96,6 +97,7 @@ class ChamberComplex:
     walls: tuple[Wall, ...]
     boundary_facets: tuple[BoundaryFacet, ...]
     _quotients: dict = field(default_factory=dict, repr=False, compare=False)
+    _keys: dict = field(default_factory=dict, repr=False, compare=False)
     _moving: object = field(default=None, repr=False, compare=False)
 
     def quotient(self, chamber_id: int) -> QuotientData:
@@ -105,23 +107,35 @@ class ChamberComplex:
             self._quotients[chamber_id] = quotient_fan_data(self.weights, rep)
         return self._quotients[chamber_id]
 
+    def key(self, chamber_id: int) -> tuple[int, ...]:
+        """The chamber's key, toric._interior_masks at its representative, cached."""
+        if chamber_id not in self._keys:
+            rep = self.chambers[chamber_id].representative
+            self._keys[chamber_id] = _interior_masks(self.weights, rep)
+        return self._keys[chamber_id]
 
-def _key_check(ws: WeightSystem, chambers) -> None:
-    """Refuse chambers that share a key with another chamber.
+    def used_columns(self, chamber_id: int) -> tuple[int, ...]:
+        """Columns of the chamber's quotient rays, read off its key."""
+        return _used_columns(self.weights.r, self.key(chamber_id))
+
+
+def _key_check(ws: WeightSystem, chambers) -> dict[int, tuple[int, ...]]:
+    """Each chamber's key by id; raises when two chambers share a key.
 
     A chamber's key lists the table subsets whose open cone holds its
     representative.  A cell of the split equals the intersection of the
     closed table cones holding it exactly when no other cell has its key.
     """
-    keys = [_interior_masks(ws, ch.representative) for ch in chambers]
-    count = Counter(keys)
-    shared = next((ch.id for ch, key in zip(chambers, keys) if count[key] > 1), None)
+    keys = {ch.id: _interior_masks(ws, ch.representative) for ch in chambers}
+    count = Counter(keys.values())
+    shared = next((i for i, key in keys.items() if count[key] > 1), None)
     if shared is not None:
         raise InvariantViolationError(
             f"chamber {shared} disagrees with the intersection of simplicial "
             "column cones: the candidate hyperplanes strictly refine the coarsest "
             "decomposition here; pass cross_check=False to accept the refinement"
         )
+    return keys
 
 
 def enumerate_chambers(ws: WeightSystem, cross_check: bool | None = None) -> ChamberComplex:
@@ -149,8 +163,7 @@ def enumerate_chambers(ws: WeightSystem, cross_check: bool | None = None) -> Cha
 
     if cross_check is None:
         cross_check = ws.rho <= _CROSS_CHECK_RHO and ws.r <= _CROSS_CHECK_R
-    if cross_check:
-        _key_check(ws, chambers)
+    keys = _key_check(ws, chambers) if cross_check else {}
 
     walls = []
     wall_facets: set[tuple[int, Cone]] = set()
@@ -174,7 +187,8 @@ def enumerate_chambers(ws: WeightSystem, cross_check: bool | None = None) -> Cha
                 boundary.append(BoundaryFacet(ch.id, h, facet))
     boundary.sort(key=lambda b: (b.chamber, b.normal))
 
-    return ChamberComplex(ws, g, hyps, tuple(chambers), tuple(walls), tuple(boundary))
+    return ChamberComplex(ws, g, hyps, tuple(chambers), tuple(walls), tuple(boundary),
+                          _keys=keys)
 
 
 def chamber_of(complex_: ChamberComplex, chi) -> ChamberLocation:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from mdsgit.toric import Fan, make_fan, weight_system
+from oracles import fraction_rank
 
 
 def projective_plane() -> Fan:
@@ -54,6 +56,21 @@ def weighted_plane() -> Fan:
 def flop_weights():
     """Rank one weights (1, 1, -1, -1); the classic small wall crossing."""
     return weight_system([(1,), (1,), (-1,), (-1,)])
+
+
+@st.composite
+def full_rank_columns(draw, max_rho=3):
+    """rho to 6 columns of rank rho <= max_rho with entries in -2..2.
+
+    Entries take both signs, so many effective cones are not pointed.
+    """
+    rho = draw(st.integers(min_value=1, max_value=max_rho))
+    entry = st.integers(min_value=-2, max_value=2)
+    return draw(
+        st.lists(st.tuples(*[entry] * rho), min_size=rho, max_size=6).filter(
+            lambda cols: fraction_rank(cols) == rho
+        )
+    )
 
 
 @pytest.fixture

@@ -242,10 +242,12 @@ def test_non_integer_entries_are_parse_errors(tmp_path, capsys):
          "torsion has the entry 2.5"),
         ({"weights": {"columns": [[1], [1], [-1]], "torsion": 2}},
          "torsion must be a list of integers"),
+        # raw text: nested deeper than the decoder can follow
+        ('{"weights": ' + "[" * 100000 + "]" * 100000 + "}", "invalid JSON in"),
     ]
     for doc, message in cases:
         path = tmp_path / "doc.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         assert main(["chambers", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err

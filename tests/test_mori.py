@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings
 
 from conftest import (
     blown_up_plane,
     cube_fan,
     flop_weights,
+    full_rank_columns,
     hirzebruch,
     product_of_lines,
     projective_plane,
@@ -19,7 +20,7 @@ from conftest import (
     twice_blown_up_plane,
     weighted_plane,
 )
-from mdsgit.cones import cone_from_generators, intersect, minkowski_sum
+from mdsgit.cones import cone_from_generators, cone_from_inequalities, intersect, minkowski_sum
 from mdsgit.errors import (
     DegenerateLinearizationError,
     InvariantViolationError,
@@ -35,7 +36,8 @@ from mdsgit.mori import (
     nef_chamber,
     picard_number,
 )
-from mdsgit.toric import cox_weights, g_ample_cone, make_fan, weight_system
+from mdsgit.linalg import identity_rows
+from mdsgit.toric import cox_weights, g_ample_cone, make_fan, quotient_fan_data, weight_system
 from mdsgit.vgit import chamber_of, enumerate_chambers
 from oracles import quotient_cones, table_keys
 
@@ -263,13 +265,15 @@ def test_classify_wall_refuses_other_column_changes():
     # an exchange needs equal fans and one column dropped on each side
     cx = enumerate_chambers(exchange_weights())
     (wall,) = cx.walls
-    right = cx.quotient(wall.right)
-    assert (cx.quotient(wall.left).used_columns, right.used_columns) == ((0, 1), (1, 2))
-    cx._quotients[wall.right] = replace(right, fan=make_fan([(1,), (-1,)], [(0,)]))
+    assert (cx.used_columns(wall.left), cx.used_columns(wall.right)) == ((0, 1), (1, 2))
+    # classify_wall reads the cached keys: a right key of the one subset {0}
+    # keeps columns 1 and 2, but as the single cone {(1), (-1)}
+    cx._keys[wall.right] = (0b001,)
     with pytest.raises(InvariantViolationError, match="changes 2 columns"):
         classify_wall(cx, wall)
-    # same fans, but the right drops both of the left's columns and adds none
-    cx._quotients[wall.right] = replace(right, used_columns=(), dropped_columns=(0, 1, 2))
+    # a right key of the one subset {0, 1, 2} drops both of the left's
+    # columns and adds none
+    cx._keys[wall.right] = (0b111,)
     with pytest.raises(InvariantViolationError, match="changes 2 columns"):
         classify_wall(cx, wall)
 
@@ -386,3 +390,62 @@ def test_factor_resolves_tied_crossings():
     assert [c.kind for c in f.crossings] == [
         "divisorial", "small", "small", "small", "divisorial",
     ]
+
+
+def _fan_read_kind(ws, left, right):
+    """The wall kind read off both sides' built quotient fans, or None for a refusal."""
+    before = quotient_fan_data(ws, left).used_columns
+    after = quotient_fan_data(ws, right).used_columns
+    traded = set(before) ^ set(after)
+    if len(traded) < 2:
+        return ("small", "divisorial")[len(traded)]
+    same = quotient_cones(ws.columns, left) == quotient_cones(ws.columns, right)
+    return "exchange" if len(traded) == 2 and len(before) == len(after) and same else None
+
+
+@settings(max_examples=80, deadline=None)
+@example([(1, 0), (1, 1), (0, 1)])  # one exchange wall
+@example([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1), (-2, 1, 1)])  # 15 cells in 9 keys
+@example([(1,), (1,), (-1,), (-1,)])  # the flop
+@given(full_rank_columns())
+def test_key_read_data_matches_built_fans(cols):
+    # cross_check=False keeps complexes whose cells are finer than the chambers
+    ws = weight_system(cols)
+    cx = enumerate_chambers(ws, cross_check=False)
+    reps = [ch.representative for ch in cx.chambers]
+    for ch in cx.chambers:
+        assert cx.used_columns(ch.id) == quotient_fan_data(ws, ch.representative).used_columns
+    for w in cx.walls:
+        expected = _fan_read_kind(ws, reps[w.left], reps[w.right])
+        if expected is None:
+            with pytest.raises(InvariantViolationError, match="changes 2 columns"):
+                classify_wall(cx, w)
+        else:
+            assert classify_wall(cx, w).kind == expected
+    # a chamber's oracle cones use every column when they hold r distinct rays
+    using_every = tuple(
+        i for i, rep in enumerate(reps) if len(set().union(*quotient_cones(cols, rep))) == ws.r
+    )
+    assert moving_cone(cx).chamber_ids == using_every
+    assert not cx._quotients  # keys alone: the complex built no quotient fan
+
+
+def _lifted_quotient_dim(columns, chi):
+    """dim {(a, t) >= 0 : sum a_i column_i = t chi} - 1, by one cone conversion."""
+    r = len(columns)
+    equations = [tuple([c[j] for c in columns] + [-chi[j]]) for j in range(len(chi))]
+    return cone_from_inequalities(identity_rows(r + 1), equations, ambient_dim=r + 1).dim - 1
+
+
+@settings(max_examples=80, deadline=None)
+@example([(1,), (2,), (1,)])  # rank 1, pointed: the zero facet
+@example([(1,), (0,), (2,)])  # the zero facet with a zero column on it
+@example([(1, 0), (-1, 0), (0, 1)])  # a half-plane: the facet is a line
+@given(full_rank_columns(max_rho=4))
+def test_boundary_count_matches_the_lifted_cone(cols):
+    ws = weight_system(cols)
+    cx = enumerate_chambers(ws, cross_check=False)
+    for i in range(len(cx.boundary_facets)):
+        b = classify_boundary_facet(cx, i)
+        assert b.quotient_dim == _lifted_quotient_dim(cols, b.character)
+        assert b.quotient_dim + b.fiber_dim == ws.r - ws.rho

@@ -12,6 +12,7 @@ from conftest import (
     blown_up_plane,
     cube_fan,
     flop_weights,
+    full_rank_columns,
     hirzebruch,
     product_of_lines,
     projective_plane,
@@ -33,7 +34,7 @@ from mdsgit.toric import (
     weight_system,
 )
 from mdsgit.vgit import chamber_of, enumerate_chambers, verify_disjoint_cover
-from oracles import count_chambers_bruteforce, fraction_rank, quotient_cones, table_keys
+from oracles import count_chambers_bruteforce, quotient_cones, table_keys
 
 CHAMBER_COUNTS = [
     (projective_plane, 1),
@@ -260,17 +261,6 @@ def _first_shared_key(columns, cx):
     """Lowest chamber id whose oracle key another chamber of cx shares, or None."""
     keys = table_keys(columns, [ch.representative for ch in cx.chambers])
     return next((i for i, key in enumerate(keys) if keys.count(key) > 1), None)
-
-
-@st.composite
-def full_rank_columns(draw):
-    # entries of both signs, so many effective cones are not pointed
-    rho = draw(st.integers(min_value=1, max_value=3))
-    return draw(
-        st.lists(st.tuples(*[small] * rho), min_size=rho, max_size=6).filter(
-            lambda cols: fraction_rank(cols) == rho
-        )
-    )
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from .cones import Cone, cone_from_generators, intersect, minkowski_sum
 from .errors import DegenerateLinearizationError, InvariantViolationError
-from .linalg import IntVec, dot, primitive
-from .toric import Fan, _check_chi, canonicalize_fan, gale_dual, is_complete
+from .linalg import IntVec, dot, primitive, to_int_vec
+from .toric import Fan, _check_chi, _interior_masks, canonicalize_fan, gale_dual, is_complete
 from .vgit import Chamber, ChamberComplex, Wall, chamber_of
 
 
@@ -102,7 +102,7 @@ def nef_chamber(complex_: ChamberComplex, fan: Fan) -> Chamber:
         )
     full = (1 << ws.r) - 1
     key = {full ^ sum(1 << i for i in cone) for cone in fan.max_cones}
-    matches = [ch for ch in complex_.chambers if set(complex_.key(ch.id)) == key]
+    matches = [ch for ch in complex_.chambers if set(ch.key) == key]
     if len(matches) != 1:
         raise DegenerateLinearizationError(
             "no single chamber has this fan as its quotient: "
@@ -191,7 +191,7 @@ def _same_gale_cones(complex_: ChamberComplex, wall: Wall) -> bool:
     gale = [primitive(g) for g in gale_dual(complex_.weights)]
     left, right = (
         {frozenset(g for i, g in enumerate(gale) if not mask >> i & 1)
-         for mask in complex_.key(side)}
+         for mask in complex_.chambers[side].key}
         for side in (wall.left, wall.right)
     )
     return left == right
@@ -293,9 +293,11 @@ def _segment_walk(
     If the segment meets two candidate walls at the same parameter, the
     target endpoint is perturbed along a moment curve (staying inside its
     chamber) until all crossing parameters are distinct.  The times then
-    refer to the perturbed segment, so they stay strictly increasing.  Each
-    crossing flips one bit of the current chamber's sign mask, and the
-    flipped mask names the next chamber.
+    refer to the perturbed segment, so they stay strictly increasing.  The
+    chamber after each crossing is the one whose key is read at the
+    midpoint to the next crossing; a crossing that keeps the chamber is no
+    wall and is skipped.  An endpoint on a hyperplane spanned by columns
+    raises DegenerateLinearizationError.
     """
     ws = complex_.weights
     p = _check_chi(ws, chi_from)
@@ -314,47 +316,49 @@ def _segment_walk(
         else:
             # moment-curve perturbation too small to change any strict sign
             qq = tuple(q[k] + Fraction(1, denom ** (k + 1)) for k in range(ws.rho))
-        events = []
-        for k, h in enumerate(hyps):
+        times = []
+        for h in hyps:
             sp = dot(h, p)
             sq = dot(h, qq)
             if sp == 0 or sq == 0:
-                raise InvariantViolationError("endpoint lies on a candidate wall")
+                raise DegenerateLinearizationError(
+                    f"{'source' if sp == 0 else 'target'} character "
+                    f"{p if sp == 0 else q} lies on a hyperplane spanned by weight columns"
+                )
             if (sp > 0) != (sq > 0):
-                events.append((Fraction(sp, sp - sq), k))
-        times = [t for t, _ in events]
+                times.append(Fraction(sp, sp - sq))
         if len(set(times)) == len(times):
             break
         denom *= 2
     else:
         raise InvariantViolationError("could not separate wall crossings by perturbation")
 
-    events.sort()
+    times.sort()
     wall_by_pair = {frozenset((w.left, w.right)): w for w in complex_.walls}
-    chamber_by_mask = {ch.mask: ch.id for ch in complex_.chambers}
+    chamber_by_key = {ch.key: ch.id for ch in complex_.chambers}
 
-    # each event flips the sign of exactly one hyperplane along the segment
-    mask = complex_.chambers[start].mask
-    path = [start]
-    walls = []
-    for _, k in events:
-        mask ^= 1 << k
-        nxt = chamber_by_mask.get(mask)
+    path, walls, crossed = [start], [], []
+    for t, after in zip(times, times[1:] + [1]):
+        mid = (t + after) / 2
+        key = _interior_masks(ws, to_int_vec([a + mid * (b - a) for a, b in zip(p, qq)]))
+        nxt = chamber_by_key.get(key)
         if nxt is None:
-            raise InvariantViolationError(f"segment crosses hyperplane {k} into no chamber")
-        cur = path[-1]
-        wall = wall_by_pair.get(frozenset((cur, nxt)))
+            raise InvariantViolationError(f"segment enters no chamber at time {t}")
+        if nxt == path[-1]:
+            continue
+        wall = wall_by_pair.get(frozenset((path[-1], nxt)))
         if wall is None:
             raise InvariantViolationError(
-                f"consecutive chambers {cur} and {nxt} do not share a wall"
+                f"consecutive chambers {path[-1]} and {nxt} do not share a wall"
             )
         walls.append(wall)
         path.append(nxt)
+        crossed.append(t)
     if path[-1] != end:
         raise InvariantViolationError(
             f"segment walk ended in chamber {path[-1]}, expected {end}"
         )
-    return tuple(path), tuple(walls), tuple(t for t, _ in events)
+    return tuple(path), tuple(walls), tuple(crossed)
 
 
 def factor_contraction(complex_: ChamberComplex, chi_from, chi_to) -> Factorization:

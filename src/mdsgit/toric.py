@@ -362,8 +362,8 @@ def _interior_masks(ws: WeightSystem, chi) -> tuple[int, ...]:
         )
     if wall is not None:
         raise DegenerateLinearizationError(
-            f"character {chi} lies on a wall or on the boundary of the semistable "
-            f"cone: the hyperplane with normal {wall}"
+            f"character {chi} lies on a hyperplane spanned by weight columns: "
+            f"the one with normal {wall}"
         )
     return tuple(interior)
 

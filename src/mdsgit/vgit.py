@@ -1,28 +1,22 @@
-"""Chamber decomposition of the semistable cone of a weight system.
+"""GIT chamber decomposition of the semistable cone of a weight system.
 
-Characters in the interior of the cone spanned by the weight columns are
-partitioned into finitely many full-dimensional chambers by the hyperplanes
-spanned by column subsets.  Two characters in the same chamber give the same
-quotient; crossing a wall changes it.  This module enumerates the chambers,
-the walls between them, and the facets on the boundary of the semistable
-cone, all with exact arithmetic.
+Characters inside the cone spanned by the weight columns fall into
+finitely many full-dimensional GIT chambers, on each of which the quotient
+does not change.  A chamber's key is the set of simplicial column subsets
+(the table) whose open cone holds it, and the chamber is the intersection
+of their closed cones (Berchtold-Hausen, 2006).  Walking from key to key
+(Keicher, 2012) gives the chambers, the walls between them, and the facets
+on the boundary of the semistable cone, all with exact arithmetic.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, count
 
-from .cones import (
-    Cone,
-    adjacent_pairs,
-    cone_from_generators,
-    intersect,
-    split_by_hyperplanes,
-)
+from .cones import Cone, cone_from_generators, cone_from_inequalities, intersect
 from .errors import InvariantViolationError
-from .linalg import IntVec, dot
+from .linalg import IntVec, dot, vneg
 from .toric import (
     QuotientData,
     WeightSystem,
@@ -35,26 +29,21 @@ from .toric import (
     wall_hyperplanes,
 )
 
-# Up to these sizes enumerate_chambers runs _key_check by default.  The
-# check is cheap; the gate stays because above it the split's cells can be
-# finer than the GIT chambers (the rank-5 surface7 input has 303 cells in
-# 50 keys), and the check would refuse those inputs.
-_CROSS_CHECK_RHO = 3
-_CROSS_CHECK_R = 8
-
 
 @dataclass(frozen=True)
 class Chamber:
-    """One full-dimensional chamber, with an integer interior representative.
+    """One full-dimensional GIT chamber, with an integer interior representative.
 
-    Bit k of mask is set when the chamber lies on the positive side of
-    the complex's hyperplane k.
+    key holds, in table order, the column bitmasks of the table subsets
+    whose open cone holds the chamber; the cone is the intersection of
+    their closed cones.  The representative lies off every hyperplane
+    spanned by columns, and the key read there is key.
     """
 
     id: int
     cone: Cone
     representative: IntVec
-    mask: int
+    key: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -97,7 +86,6 @@ class ChamberComplex:
     walls: tuple[Wall, ...]
     boundary_facets: tuple[BoundaryFacet, ...]
     _quotients: dict = field(default_factory=dict, repr=False, compare=False)
-    _keys: dict = field(default_factory=dict, repr=False, compare=False)
     _moving: object = field(default=None, repr=False, compare=False)
 
     def quotient(self, chamber_id: int) -> QuotientData:
@@ -107,88 +95,95 @@ class ChamberComplex:
             self._quotients[chamber_id] = quotient_fan_data(self.weights, rep)
         return self._quotients[chamber_id]
 
-    def key(self, chamber_id: int) -> tuple[int, ...]:
-        """The chamber's key, toric._interior_masks at its representative, cached."""
-        if chamber_id not in self._keys:
-            rep = self.chambers[chamber_id].representative
-            self._keys[chamber_id] = _interior_masks(self.weights, rep)
-        return self._keys[chamber_id]
-
     def used_columns(self, chamber_id: int) -> tuple[int, ...]:
         """Columns of the chamber's quotient rays, read off its key."""
-        return _used_columns(self.weights.r, self.key(chamber_id))
+        return _used_columns(self.weights.r, self.chambers[chamber_id].key)
 
 
-def _key_check(ws: WeightSystem, chambers) -> dict[int, tuple[int, ...]]:
-    """Each chamber's key by id; raises when two chambers share a key.
+def _key_at(table, rows) -> tuple[int, ...]:
+    """The key at rows[0] + e rows[1] + ... + e^k e_1 + ... + e^(k+rho-1) e_rho, e -> 0+.
 
-    A chamber's key lists the table subsets whose open cone holds its
-    representative.  A cell of the split equals the intersection of the
-    closed table cones holding it exactly when no other cell has its key.
+    A table normal h is positive there when the first nonzero of
+    h.rows[0], ..., h.rows[k-1], h_1, ..., h_rho is, so no perturbed point
+    is formed.  Column bitmasks of the subsets, in table order.
     """
-    keys = {ch.id: _interior_masks(ws, ch.representative) for ch in chambers}
-    count = Counter(keys.values())
-    shared = next((i for i, key in keys.items() if count[key] > 1), None)
-    if shared is not None:
-        raise InvariantViolationError(
-            f"chamber {shared} disagrees with the intersection of simplicial "
-            "column cones: the candidate hyperplanes strictly refine the coarsest "
-            "decomposition here; pass cross_check=False to accept the refinement"
-        )
-    return keys
+    return tuple(sum(1 << j for j in subset) for subset, normals in table
+                 if all(next(v for v in chain((dot(h, x) for x in rows), h) if v) > 0
+                        for h in normals))
 
 
-def enumerate_chambers(ws: WeightSystem, cross_check: bool | None = None) -> ChamberComplex:
-    """Enumerate all chambers, walls, and boundary facets of a weight system.
+def _representative(ws: WeightSystem, hyps, cone: Cone, key) -> IntVec:
+    """An integer point inside the chamber and off every hyperplane spanned by columns.
 
-    Chambers are the distinct strict sign vectors realized inside the
-    semistable cone; walls join chambers whose sign vectors differ in one
-    hyperplane.  At small sizes no two chambers may share a key (see
-    _key_check), so each is the intersection of the simplicial column
-    cones containing its representative.
+    The sum p of the generators when no hyperplane holds it, else K p + d
+    with d = (1, k, ..., k^(rho-1)) off each hyperplane holding p and
+    K = 1 + max |f.d| over the chamber's facets f and the hyperplanes, so
+    each sign of p that is not zero is kept.  Raises
+    InvariantViolationError unless the key read there is the chamber's.
     """
-    _full_rank_table(ws)
-    g = g_ample_cone(ws)
+    p = cone.relative_interior_point()
+    held = [h for h in hyps if dot(h, p) == 0]
+    if held:
+        d = next(d for d in (tuple(k**i for i in range(ws.rho)) for k in count(1))
+                 if all(dot(h, d) for h in held))
+        big = 1 + max(abs(dot(f, d)) for f in cone.inequalities + hyps)
+        p = tuple(big * a + b for a, b in zip(p, d))
+    if _interior_masks(ws, p) != key:
+        raise InvariantViolationError(f"representative {p} reads another key than its chamber")
+    return p
+
+
+def enumerate_chambers(ws: WeightSystem) -> ChamberComplex:
+    """Enumerate all GIT chambers, walls, and boundary facets of a weight system.
+
+    Walks from key to key, starting at the sum of all columns.  A chamber
+    is one cone_from_inequalities over its key's facet normals.  Across a
+    facet with inward normal n, the key at p - e n, for p the sum of the
+    facet's generators, is empty on the boundary of the semistable cone and
+    names the neighbour otherwise, which must reach back.  A wall's facet
+    is built on the side its sign-normalized normal points into.
+    """
+    table = _full_rank_table(ws)
+    normals_of = {sum(1 << j for j in subset): normals for subset, normals in table}
+    found: dict[tuple[int, ...], tuple] = {}
+    todo = [_key_at(table, [tuple(map(sum, zip(*ws.columns)))])]
+    while todo:
+        key = todo.pop()
+        if key in found:
+            continue
+        cone = cone_from_inequalities(
+            sorted({h for m in key for h in normals_of[m]}), ambient_dim=ws.rho)
+        sides = []
+        for n in cone.inequalities:
+            tight = [x for x in cone.generators if dot(n, x) == 0]
+            p = tuple(sum(x[i] for x in tight) for i in range(ws.rho))
+            other = _key_at(table, [p, vneg(n)])
+            facet = (cone_from_generators(tight, cone.lineality, ambient_dim=ws.rho)
+                     if not other or next(x for x in n if x) > 0 else None)
+            sides.append((n, other, facet))
+            if other:
+                todo.append(other)
+        found[key] = (cone, sides)
+
+    order = sorted(found, key=lambda k: (found[k][0].generators, found[k][0].lineality))
+    id_of = {key: i for i, key in enumerate(order)}
     hyps = wall_hyperplanes(ws)
-    cells = sorted(
-        (
-            (cone_from_generators(cell.rays, cell.lineality, ambient_dim=ws.rho), cell.mask)
-            for cell in split_by_hyperplanes(g, hyps)
-        ),
-        key=lambda cell: (cell[0].generators, cell[0].lineality),
-    )
-    chambers = [
-        Chamber(i, c, c.relative_interior_point(), mask) for i, (c, mask) in enumerate(cells)
-    ]
-
-    if cross_check is None:
-        cross_check = ws.rho <= _CROSS_CHECK_RHO and ws.r <= _CROSS_CHECK_R
-    keys = _key_check(ws, chambers) if cross_check else {}
-
-    walls = []
-    wall_facets: set[tuple[int, Cone]] = set()
-    for i, j, k in adjacent_pairs([ch.mask for ch in chambers], len(hyps)):
-        facet = intersect(chambers[i].cone, chambers[j].cone)
-        if len(facet.equations) != 1:
-            raise InvariantViolationError(
-                f"wall between chambers {i} and {j} is not codimension one"
-            )
-        left, right = (i, j) if chambers[j].mask >> k & 1 else (j, i)
-        walls.append(Wall(left, right, hyps[k], facet))
-        wall_facets.update(((i, facet), (j, facet)))
+    chambers, walls, boundary = [], [], []
+    crossed = {(key, other, n) for key in order for n, other, _ in found[key][1]}
+    for i, key in enumerate(order):
+        cone, sides = found[key]
+        chambers.append(Chamber(i, cone, _representative(ws, hyps, cone, key), key))
+        for n, other, facet in sides:
+            if not other:
+                boundary.append(BoundaryFacet(i, n, facet))
+            elif facet is not None:
+                if (other, key, vneg(n)) not in crossed:
+                    raise InvariantViolationError(f"chamber {i}'s wall {n} is one-sided")
+                walls.append(Wall(id_of[other], i, n, facet))
     walls.sort(key=lambda w: (w.left, w.right))
-
-    boundary = []
-    for ch in chambers:
-        for h in ch.cone.inequalities:
-            tight = [g_ for g_ in ch.cone.generators if dot(h, g_) == 0]
-            facet = cone_from_generators(tight, ch.cone.lineality, ambient_dim=ws.rho)
-            if (ch.id, facet) not in wall_facets:
-                boundary.append(BoundaryFacet(ch.id, h, facet))
     boundary.sort(key=lambda b: (b.chamber, b.normal))
-
-    return ChamberComplex(ws, g, hyps, tuple(chambers), tuple(walls), tuple(boundary),
-                          _keys=keys)
+    return ChamberComplex(ws, g_ample_cone(ws), hyps, tuple(chambers), tuple(walls),
+                          tuple(boundary))
 
 
 def chamber_of(complex_: ChamberComplex, chi) -> ChamberLocation:

@@ -2,10 +2,12 @@
 
 Everything here is implemented from scratch on purpose, so agreement
 between an oracle and the library is meaningful evidence rather than a
-tautology.  The one exception is full_line_config, which splits the whole
-orthant with the package's arrangement split (itself checked against
-count_chambers_bruteforce); it uses no symmetry, so it is independent of
-the orbit reduction it is compared with.
+tautology.  The two exceptions are full_line_config and grouped_cells,
+which split a cone with the package's arrangement split (itself checked
+against count_chambers_bruteforce): full_line_config uses no symmetry, so
+it is independent of the orbit reduction it is compared with, and
+grouped_cells joins the split's cells by their keys, so it is independent
+of the walk from key to key that it is compared with.
 """
 
 from __future__ import annotations
@@ -277,6 +279,94 @@ def table_keys(columns, points):
         frozenset(s for s, coeffs in cramer_coefficients(columns, p).items() if min(coeffs) > 0)
         for p in points
     ]
+
+
+@dataclass(frozen=True)
+class GroupedCells:
+    """The arrangement's cells joined by key: chambers, walls and boundary facets.
+
+    chambers maps each chamber cone to its key (a frozenset of column
+    subsets, as table_keys gives it).  walls holds (left cone, right cone,
+    normal, facet) with the sign-normalized normal positive on the right
+    cone, and boundary holds (chamber cone, inward normal, facet).
+    """
+
+    cells: int
+    chambers: dict
+    walls: frozenset
+    boundary: frozenset
+
+
+def grouped_cells(columns) -> GroupedCells:
+    """GIT chambers as the cells of all column-spanned hyperplanes, grouped by key.
+
+    Splits the effective cone by wall_hyperplanes, reads the key of each
+    cell at its relative-interior point (table_keys) and joins the cells of
+    one key, the cell walls between two keys, and the cell facets on the
+    boundary of one key, each by the hull of their generators.
+    """
+    from mdsgit.cones import (adjacent_pairs, cone_from_generators, intersect,
+                              split_by_hyperplanes)
+    from mdsgit.toric import g_ample_cone, wall_hyperplanes, weight_system
+
+    ws = weight_system(columns)
+    hyps = wall_hyperplanes(ws)
+
+    def hull(cones):
+        return cone_from_generators([g for c in cones for g in c.generators],
+                                    [v for c in cones for v in c.lineality], ambient_dim=ws.rho)
+
+    split = split_by_hyperplanes(g_ample_cone(ws), hyps)
+    cells = [cone_from_generators(c.rays, c.lineality, ambient_dim=ws.rho) for c in split]
+    keys = table_keys(columns, [c.relative_interior_point() for c in cells])
+    faces: dict = {}
+    shared = set()
+    for i, j, k in adjacent_pairs([c.mask for c in split], len(hyps)):
+        facet = intersect(cells[i], cells[j])
+        shared.update(((i, facet), (j, facet)))
+        if keys[i] != keys[j]:
+            left, right = (i, j) if split[j].mask >> k & 1 else (j, i)
+            faces.setdefault((keys[left], keys[right], hyps[k]), []).append(facet)
+    for i, cell in enumerate(cells):
+        for h in cell.inequalities:
+            tight = [g for g in cell.generators if sum(a * b for a, b in zip(h, g)) == 0]
+            facet = cone_from_generators(tight, cell.lineality, ambient_dim=ws.rho)
+            if (i, facet) not in shared:
+                faces.setdefault((keys[i], None, h), []).append(facet)
+    cone_of = {key: hull([c for c, k in zip(cells, keys) if k == key]) for key in set(keys)}
+    return GroupedCells(
+        len(cells),
+        {cone: key for key, cone in cone_of.items()},
+        frozenset((cone_of[a], cone_of[b], n, hull(fs))
+                  for (a, b, n), fs in faces.items() if b is not None),
+        frozenset((cone_of[a], n, hull(fs)) for (a, b, n), fs in faces.items() if b is None),
+    )
+
+
+def _cross(u, v) -> int:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def spanning_subsets(rays):
+    """The ray subsets that positively span R^2, as sorted index tuples.
+
+    A set spans positively when it lies in no closed half-plane, that is,
+    when each of its rays has another ray of the set strictly on either
+    side.  For the rays of a complete surface fan these are the chambers
+    of its Cox weights: each such subset carries exactly one complete fan,
+    and every complete surface fan is projective.
+    """
+    return [
+        s for size in range(3, len(rays) + 1) for s in combinations(range(len(rays)), size)
+        if all(any(_cross(rays[i], rays[j]) > 0 for j in s)
+               and any(_cross(rays[i], rays[j]) < 0 for j in s) for i in s)
+    ]
+
+
+def surface_walls(rays):
+    """Pairs (S, S + {v}) of positively spanning subsets: the walls, each divisorial."""
+    spanning = set(spanning_subsets(rays))
+    return {(s, t) for t in spanning for s in spanning if len(s) + 1 == len(t) and set(s) < set(t)}
 
 
 def simplicial_table(columns):

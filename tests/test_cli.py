@@ -19,6 +19,13 @@ BLP2 = {
     }
 }
 FLOP = {"weights": {"columns": [[1], [1], [-1], [-1]]}}
+# the 7-ray surface of perfbench/corpus/surface7.json
+SURFACE7 = {
+    "fan": {
+        "rays": [[1, 0], [2, 1], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]],
+        "cones": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 0]],
+    }
+}
 
 
 @pytest.fixture
@@ -124,6 +131,19 @@ def test_quotient_exit_codes(blp2_file, tmp_path, capsys):
     rank_deficient.write_text(json.dumps({"weights": {"columns": [[1, 0], [2, 0], [-1, 0]]}}))
     assert main(["quotient", str(rank_deficient), "--chi=1,0"]) == 3
     assert "rank below 2" in capsys.readouterr().err
+
+
+def test_character_across_a_chamber_exits_4(tmp_path, capsys):
+    # (-1, 0, 2, 3, 4) is the sum of the generators of one surface7 chamber
+    # and lies on the hyperplane with normal (0, 1, 0, 0, 0), which crosses it
+    path = tmp_path / "surface7.json"
+    path.write_text(json.dumps(SURFACE7))
+    calls = (["quotient", str(path), "--chi=-1,0,2,3,4"],
+             ["factor", str(path), "--from=-1,0,2,3,4", "--to=20"],
+             ["factor", str(path), "--from=20", "--to=-1,0,2,3,4"])
+    for argv in calls:
+        assert main(argv) == 4
+        assert "lies on a hyperplane spanned by weight columns" in capsys.readouterr().err
 
 
 def test_oversized_weight_system_exits_3(tmp_path, capsys, monkeypatch):

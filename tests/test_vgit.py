@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cmp_to_key
+from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -25,16 +27,24 @@ from mdsgit.errors import (
     RankDeficientWeightsError,
 )
 from mdsgit.linalg import dot, rank_of
-from mdsgit.mori import factor_contraction
+from mdsgit.mori import classify_wall, factor_contraction
 from mdsgit.toric import (
     cox_weights,
     g_ample_cone,
+    make_fan,
     quotient_fan_data,
     wall_hyperplanes,
     weight_system,
 )
 from mdsgit.vgit import chamber_of, enumerate_chambers, verify_disjoint_cover
-from oracles import count_chambers_bruteforce, quotient_cones, table_keys
+from oracles import (
+    count_chambers_bruteforce,
+    grouped_cells,
+    quotient_cones,
+    spanning_subsets,
+    surface_walls,
+    table_keys,
+)
 
 CHAMBER_COUNTS = [
     (projective_plane, 1),
@@ -164,10 +174,14 @@ def test_enumeration_is_deterministic():
     assert a.hyperplanes == b.hyperplanes
 
 
-def test_forced_cross_check():
-    ws = cox_weights(twice_blown_up_plane())
-    cx = enumerate_chambers(ws, cross_check=True)
+def test_chamber_keys_match_the_oracle():
+    # each chamber carries the key the oracle reads at its representative
+    cols = cox_weights(twice_blown_up_plane()).columns
+    cx = enumerate_chambers(weight_system(cols))
     assert len(cx.chambers) == 5
+    keys = table_keys(cols, [ch.representative for ch in cx.chambers])
+    assert keys == [_subsets(ch.key) for ch in cx.chambers]
+    assert len(set(keys)) == 5
 
 
 @pytest.mark.parametrize(
@@ -204,20 +218,21 @@ small = st.integers(min_value=-2, max_value=2)
     )
 )
 def test_random_weights_match_bruteforce(cols):
-    # cross_check=False: on exotic configurations the candidate hyperplanes
-    # may strictly refine the coarsest decomposition, which the optional
-    # simplicial cross-check reports; the arrangement count is still exact
+    # the arrangement's cells, counted by brute force, grouped by key are
+    # the chambers; on exotic configurations several cells share a key
     ws = weight_system(cols)
-    cx = enumerate_chambers(ws, cross_check=False)
-    expected = count_chambers_bruteforce(
+    cx = enumerate_chambers(ws)
+    oracle = grouped_cells(cols)
+    assert oracle.cells == count_chambers_bruteforce(
         wall_hyperplanes(ws), g_ample_cone(ws).inequalities, 2
     )
-    assert len(cx.chambers) == expected
+    _assert_grouped(cx, oracle)
     assert verify_disjoint_cover(cx).ok
-    # factor_contraction walks the stored sign masks: between any two
-    # chambers it starts and ends in the right ones, at strictly increasing
-    # times, across walls that join consecutive chambers, and classifies
-    # each crossing; across an exchange the oracle's quotient fans agree
+    # factor_contraction reads each chamber along the segment by its key:
+    # between any two chambers it starts and ends in the right ones, at
+    # strictly increasing times, across walls that join consecutive
+    # chambers, and classifies each crossing; across an exchange the
+    # oracle's quotient fans agree
     for a in cx.chambers:
         for b in cx.chambers:
             f = factor_contraction(cx, a.representative, b.representative)
@@ -238,50 +253,120 @@ def test_random_weights_match_bruteforce(cols):
                             == quotient_cones(cols, cx.chambers[nxt].representative))
 
 
-def test_cross_check_detects_strict_refinement():
-    # span(e1, e2) meets the ample cone beyond pos(e1, e2) here, so one
-    # hyperplane piece is not a wall of the coarsest decomposition; the
-    # simplicial cross-check flags it, the arrangement itself stays exact
-    from mdsgit.errors import InvariantViolationError
-
-    ws = weight_system([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1), (-2, 1, 1)])
-    with pytest.raises(InvariantViolationError):
-        enumerate_chambers(ws, cross_check=True)
-    cx = enumerate_chambers(ws, cross_check=False)
-    expected = count_chambers_bruteforce(
-        wall_hyperplanes(ws), g_ample_cone(ws).inequalities, 3
-    )
-    assert len(cx.chambers) == expected == 15
-
-
 RANK3_COLUMNS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1), (-2, 1, 1)]
 
 
-def _first_shared_key(columns, cx):
-    """Lowest chamber id whose oracle key another chamber of cx shares, or None."""
-    keys = table_keys(columns, [ch.representative for ch in cx.chambers])
-    return next((i for i, key in enumerate(keys) if keys.count(key) > 1), None)
+def _subsets(key):
+    """A chamber's key as the oracle writes it: a frozenset of column index tuples."""
+    return frozenset(tuple(j for j in range(mask.bit_length()) if mask >> j & 1) for mask in key)
+
+
+def _assert_grouped(cx, oracle):
+    """The complex's chambers, walls and boundary facets are the oracle's grouped cells."""
+    cones = [ch.cone for ch in cx.chambers]
+    walls = [(cones[w.left], cones[w.right], w.normal, w.facet) for w in cx.walls]
+    boundary = [(cones[b.chamber], b.normal, b.facet) for b in cx.boundary_facets]
+    assert {ch.cone: _subsets(ch.key) for ch in cx.chambers} == oracle.chambers
+    assert len(cones) == len(oracle.chambers)
+    assert len(walls) == len(oracle.walls) and set(walls) == oracle.walls
+    assert len(boundary) == len(oracle.boundary) and set(boundary) == oracle.boundary
+
+
+def test_walk_is_coarser_than_the_arrangement():
+    # span(e1, e2) meets the ample cone beyond pos(e1, e2) here, so one
+    # hyperplane piece is not a wall: the arrangement, counted by brute
+    # force, has 15 cells, and the walk joins them into 9 chambers
+    ws = weight_system(RANK3_COLUMNS)
+    cx = enumerate_chambers(ws)
+    expected = count_chambers_bruteforce(
+        wall_hyperplanes(ws), g_ample_cone(ws).inequalities, 3
+    )
+    assert expected == 15
+    assert (len(cx.chambers), len(cx.walls), len(cx.boundary_facets)) == (9, 12, 4)
+    assert verify_disjoint_cover(cx).ok
 
 
 @settings(max_examples=60, deadline=None)
 @example(RANK3_COLUMNS)
 @example([(1,), (-1,), (2,)])
 @example([(1, 0), (0, 1), (-1, 0), (-1, -1)])
+@example([(1, 0), (-1, 0), (0, 1), (1, 1)])  # a half-plane: not pointed
 @given(full_rank_columns())
-def test_cross_check_refuses_exactly_repeated_keys(cols):
-    # below the gate, enumerate_chambers raises exactly when two cells of
-    # the split share a key, and names the lowest such chamber
-    ws = weight_system(cols)
-    cells = enumerate_chambers(ws, cross_check=False)
-    first = _first_shared_key(cols, cells)
-    if first is None:
-        assert enumerate_chambers(ws).chambers == cells.chambers
-    else:
-        with pytest.raises(InvariantViolationError, match=f"^chamber {first} disagrees "):
-            enumerate_chambers(ws)
+def test_walk_matches_grouped_cells(cols):
+    # chambers, walls and boundary facets are the split's cells grouped by
+    # key, at rank 1-3 and with non-pointed effective cones; each wall's
+    # kind is read off the oracle's keys and Gale cones
+    cx = enumerate_chambers(weight_system(cols))
+    _assert_grouped(cx, grouped_cells(cols))
+    for w in cx.walls:
+        left, right = (cx.chambers[i] for i in (w.left, w.right))
+        used = [{j for j in range(len(cols)) if any(j not in s for s in _subsets(ch.key))}
+                for ch in (left, right)]
+        traded = used[0] ^ used[1]
+        same = quotient_cones(cols, left.representative) == quotient_cones(
+            cols, right.representative)
+        if len(traded) < 2:
+            assert classify_wall(cx, w).kind == ("small", "divisorial")[len(traded)]
+        elif len(traded) == 2 and len(used[0]) == len(used[1]) and same:
+            assert classify_wall(cx, w).kind == "exchange"
+        else:
+            with pytest.raises(InvariantViolationError, match="changes 2 columns"):
+                classify_wall(cx, w)
 
 
 def test_rank3_cells_and_keys():
-    cx = enumerate_chambers(weight_system(RANK3_COLUMNS), cross_check=False)
+    # 15 cells in 9 keys: the walk's 9 chambers carry exactly those keys
+    cx = enumerate_chambers(weight_system(RANK3_COLUMNS))
+    oracle = grouped_cells(RANK3_COLUMNS)
+    assert (oracle.cells, len(oracle.chambers)) == (15, 9)
     keys = table_keys(RANK3_COLUMNS, [ch.representative for ch in cx.chambers])
-    assert (len(cx.chambers), len(set(keys))) == (15, 9)
+    assert set(keys) == set(oracle.chambers.values())
+    assert keys == [_subsets(ch.key) for ch in cx.chambers]
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _by_angle(rays):
+    """Rays in counterclockwise order from the positive x-axis, by integer cross products."""
+    def half(v):
+        return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
+    return sorted(rays, key=cmp_to_key(
+        lambda a, b: (half(a) - half(b)) or _cross(b, a)))
+
+
+@st.composite
+def complete_surface_rays(draw):
+    """Primitive rays of a complete surface fan, in angular order: 3 to 7 of them."""
+    coord = st.integers(min_value=-3, max_value=3)
+    raw = draw(st.lists(st.tuples(coord, coord).filter(any), min_size=3, max_size=7))
+    rays = _by_angle({(x // gcd(x, y), y // gcd(x, y)) for x, y in raw})
+    assume(len(rays) >= 3 and all(_cross(u, v) > 0 for u, v in zip(rays, rays[1:] + rays[:1])))
+    return rays
+
+
+def _check_surface(rays):
+    """The chambers and walls of a complete surface fan against the spanning-subset oracle."""
+    fan = make_fan(rays, [(i, (i + 1) % len(rays)) for i in range(len(rays))])
+    cx = enumerate_chambers(cox_weights(fan))
+    used = [cx.used_columns(ch.id) for ch in cx.chambers]
+    assert sorted(used) == sorted(spanning_subsets(rays))
+    pairs = [tuple(sorted((used[w.left], used[w.right]), key=len)) for w in cx.walls]
+    assert sorted(pairs) == sorted(surface_walls(rays))
+    assert all(classify_wall(cx, w).kind == "divisorial" for w in cx.walls)
+    return len(cx.chambers), len(cx.walls)
+
+
+SURFACE7_RAYS = [(1, 0), (2, 1), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(complete_surface_rays())
+def test_surfaces_match_the_spanning_subset_oracle(rays):
+    _check_surface(rays)
+
+
+def test_surface7_chambers_and_walls():
+    # 303 cells of the arrangement, but 50 chambers and 120 walls, none small
+    assert _check_surface(SURFACE7_RAYS) == (50, 120)

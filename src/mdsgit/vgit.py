@@ -12,9 +12,9 @@ on the boundary of the semistable cone, all with exact arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations, count
+from itertools import chain, count
 
-from .cones import Cone, cone_from_generators, cone_from_inequalities, intersect
+from .cones import Cone, cone_from_generators, cone_from_inequalities
 from .errors import InvariantViolationError
 from .linalg import IntVec, dot, vneg
 from .toric import (
@@ -215,68 +215,63 @@ class CoverReport:
     issues: tuple[str, ...]
 
 
-def _closed_sides(cone: Cone, hyperplanes) -> tuple[int, int]:
-    """Bitmasks of the hyperplanes with the cone on their closed >= 0 and <= 0 sides."""
-    ge = le = 0
-    for k, h in enumerate(hyperplanes):
-        if any(dot(h, l) for l in cone.lineality):
-            continue
-        vals = [dot(h, g) for g in cone.generators]
-        if all(v >= 0 for v in vals):
-            ge |= 1 << k
-        if all(v <= 0 for v in vals):
-            le |= 1 << k
-    return ge, le
+def _unmatched(listed, found: set, name: str) -> list[str]:
+    """Issues for listed items not in found, each removed as it matches, and the rest of found."""
+    issues = []
+    for idx, item in enumerate(listed):
+        if item in found:
+            found.remove(item)
+        else:
+            issues.append(f"{name} {idx} is not a facet the chambers give")
+    return issues + [f"unlisted {name} {item[:-2]}" for item in sorted(found)]
 
 
 def verify_disjoint_cover(complex_: ChamberComplex) -> CoverReport:
-    """Verify chambers have disjoint interiors and account for every facet.
+    """Verify the chambers tile the semistable cone E face to face.
 
-    Checks: pairwise intersections of chambers are lower-dimensional, each
-    representative is interior to exactly its own chamber, wall relative
-    interiors touch exactly their two chambers, and boundary facet relative
-    interiors touch exactly one chamber.  A pair of chambers on opposite
-    closed sides of one of the complex's hyperplanes needs no intersection;
-    any other pair is intersected.
+    The interior-facet certificate (De Loera-Rambau-Santos, *Triangulations*,
+    2010, Ch. 4): each chamber is full-dimensional inside E; each facet,
+    named by its tight generators and the chamber's lineality, is shared by
+    two chambers with opposite inward normals or lies in one chamber with
+    one of E's; and one generic point lies in one chamber, so every generic
+    point does.  The shared facets must be the walls (right where the
+    normal's first nonzero entry is positive), the others the boundary
+    facets.  Reads no key, table or hyperplane.
     """
     issues = []
-    chambers = complex_.chambers
-    sides = [_closed_sides(ch.cone, complex_.hyperplanes) for ch in chambers]
-    for (a, (a_ge, a_le)), (b, (b_ge, b_le)) in combinations(zip(chambers, sides), 2):
-        if a_ge & b_le or a_le & b_ge:
-            continue
-        common = intersect(a.cone, b.cone)
-        if common.is_full_dim:
-            issues.append(f"chambers {a.id} and {b.id} overlap in full dimension")
+    chambers, e = complex_.chambers, complex_.g_ample
+    facets: dict[tuple, list[tuple[int, IntVec]]] = {}
     for ch in chambers:
-        for other in chambers:
-            loc = other.cone.contains(ch.representative)
-            if (loc == "interior") != (other.id == ch.id):
-                issues.append(
-                    f"representative of chamber {ch.id} mislocated in chamber {other.id}: {loc}"
-                )
-    for idx, w in enumerate(complex_.walls):
-        p = w.facet.relative_interior_point()
-        touching = sorted(
-            ch.id for ch in chambers if ch.cone.contains(p) != "outside"
-        )
-        if touching != sorted((w.left, w.right)):
-            issues.append(f"wall {idx} touches chambers {touching}")
-        if dot(w.normal, complex_.chambers[w.right].representative) <= 0:
-            issues.append(f"wall {idx} normal not positive on its right chamber")
-        if dot(w.normal, complex_.chambers[w.left].representative) >= 0:
-            issues.append(f"wall {idx} normal not negative on its left chamber")
-    for idx, b in enumerate(complex_.boundary_facets):
-        p = b.facet.relative_interior_point()
-        touching = sorted(
-            ch.id for ch in chambers if ch.cone.contains(p) != "outside"
-        )
-        expected = [b.chamber]
-        if b.facet.is_zero:
-            # the origin lies in every chamber closure
-            expected = sorted(ch.id for ch in chambers)
-        if touching != expected:
-            issues.append(f"boundary facet {idx} touches chambers {touching}")
+        cone = ch.cone
+        if not cone.is_full_dim:
+            issues.append(f"chamber {ch.id} is not full-dimensional")
+        for g in cone.generators + cone.lineality + tuple(map(vneg, cone.lineality)):
+            if e.contains(g) == "outside":
+                issues.append(f"chamber {ch.id} has generator {g} outside the semistable cone")
+        loc = cone.contains(ch.representative)
+        if loc != "interior":
+            issues.append(f"representative of chamber {ch.id} is not interior to it: {loc}")
+        for n in cone.inequalities:
+            tight = tuple(g for g in cone.generators if dot(n, g) == 0)
+            facets.setdefault((tight, cone.lineality), []).append((ch.id, n))
+    walls, boundary = set(), set()
+    for facet, shared in facets.items():
+        if len(shared) == 1 and shared[0][1] in e.inequalities:
+            boundary.add((*shared[0], *facet))
+        elif len(shared) == 2 and shared[0][1] == vneg(shared[1][1]):
+            (left, _), (right, n) = sorted(shared, key=lambda s: next(x for x in s[1] if x))
+            walls.add((left, right, n, *facet))
+        else:
+            issues.append(f"facet of chambers {[i for i, _ in shared]}, normals "
+                          f"{[n for _, n in shared]}, is neither a wall nor on the boundary")
+    issues += _unmatched([(w.left, w.right, w.normal, w.facet.generators, w.facet.lineality)
+                          for w in complex_.walls], walls, "wall")
+    issues += _unmatched([(b.chamber, b.normal, b.facet.generators, b.facet.lineality)
+                          for b in complex_.boundary_facets], boundary, "boundary facet")
+    locs = [ch.cone.contains(chambers[0].representative) for ch in chambers]  # [] if none
+    if locs.count("interior") != 1 or "boundary" in locs:
+        issues.append(f"the first representative is interior to {locs.count('interior')} "
+                      f"chambers and on the boundary of {locs.count('boundary')}")
     return CoverReport(
         not issues,
         len(chambers),

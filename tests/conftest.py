@@ -53,6 +53,23 @@ def weighted_plane() -> Fan:
     return make_fan(rays, [(0, 1), (0, 2), (1, 2)])
 
 
+def twisted_prism(gon=((1, 0), (0, 1), (-1, -1))) -> Fan:
+    """The twisted prism over a polygon: complete, simplicial, not projective.
+
+    Rays a_i = (x_i, 1) and b_i = (x_i, -1) over the polygon x_0..x_{n-1};
+    the caps are fan-triangulated from a_0 and b_0, and each side
+    a_i a_{i+1} b_{i+1} b_i is cut along a_i-b_{i+1}.  rho = 2n - 3.
+    """
+    n = len(gon)
+    rays = [(x, y, 1) for x, y in gon] + [(x, y, -1) for x, y in gon]
+    cones = [(0, i, i + 1) for i in range(1, n - 1)]
+    cones += [(n, n + i, n + i + 1) for i in range(1, n - 1)]
+    for i in range(n):
+        a, a1, b, b1 = i, (i + 1) % n, n + i, n + (i + 1) % n
+        cones += [(a, a1, b1), (a, b1, b)]
+    return make_fan(rays, [tuple(sorted(c)) for c in cones])
+
+
 def flop_weights():
     """Rank one weights (1, 1, -1, -1); the classic small wall crossing."""
     return weight_system([(1,), (1,), (-1,), (-1,)])
@@ -101,6 +118,11 @@ def bl2p2():
 @pytest.fixture
 def p112():
     return weighted_plane()
+
+
+@pytest.fixture
+def prism3():
+    return twisted_prism()
 
 
 @pytest.fixture

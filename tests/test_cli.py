@@ -83,6 +83,19 @@ def test_nef_and_sqms_refuse_a_fan_no_chamber_gives(tmp_path, capsys):
         assert "no single chamber has this fan as its quotient" in capsys.readouterr().err
 
 
+def test_twisted_prism_is_covered_but_not_projective(prism3, tmp_path, capsys):
+    # a complete fan that no chamber gives as its quotient
+    path = tmp_path / "prism3.json"
+    path.write_text(json.dumps({"fan": {"rays": prism3.rays, "cones": prism3.max_cones}}))
+    assert main(["check-cover", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "cover check: ok (24 chambers, 36 walls, 6 boundary facets)\n"
+    )
+    for command in ("nef", "sqms"):
+        assert main([command, str(path)]) == 4
+        assert "no single chamber has this fan as its quotient" in capsys.readouterr().err
+
+
 def test_nef_needs_fan(flop_file, capsys):
     assert main(["nef", flop_file]) == 2
     assert "needs fan input" in capsys.readouterr().err

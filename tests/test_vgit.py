@@ -26,8 +26,9 @@ from mdsgit.errors import (
     NonIntegerEntryError,
     RankDeficientWeightsError,
 )
-from mdsgit.linalg import dot, rank_of
+from mdsgit.linalg import dot, rank_of, vneg
 from mdsgit.mori import classify_wall, factor_contraction
+from mdsgit.cones import cone_from_generators, cone_from_inequalities
 from mdsgit.toric import (
     cox_weights,
     g_ample_cone,
@@ -36,7 +37,7 @@ from mdsgit.toric import (
     wall_hyperplanes,
     weight_system,
 )
-from mdsgit.vgit import chamber_of, enumerate_chambers, verify_disjoint_cover
+from mdsgit.vgit import Wall, chamber_of, enumerate_chambers, verify_disjoint_cover
 from oracles import (
     count_chambers_bruteforce,
     grouped_cells,
@@ -196,16 +197,86 @@ def test_cover_verification(maker):
 
 
 def test_cover_verification_reports_overlap():
-    # chamber 0 widened to the whole ample cone overlaps every other chamber
+    # chamber 0 widened to the whole ample cone E: each chamber that shared
+    # a wall with it keeps a facet nothing matches, those walls are no
+    # longer given by the chambers, and two of E's facets become chamber
+    # 0's in place of pieces listed for chambers 1-3
     cx = enumerate_chambers(cox_weights(twice_blown_up_plane()))
     widened = replace(cx.chambers[0], cone=cx.g_ample)
     broken = replace(cx, chambers=(widened,) + cx.chambers[1:])
     report = verify_disjoint_cover(broken)
     assert not report.ok
-    overlaps = {issue for issue in report.issues if "overlap" in issue}
-    assert overlaps == {
-        f"chambers 0 and {j} overlap in full dimension" for j in range(1, len(cx.chambers))
-    }
+    expected = ["unlisted boundary facet (0, (0, 0, 1))", "unlisted boundary facet (0, (1, 1, 0))"]
+    neighbours = []
+    for i, w in enumerate(cx.walls):
+        if 0 in (w.left, w.right):
+            j, n = (w.right, w.normal) if w.left == 0 else (w.left, vneg(w.normal))
+            neighbours.append(j)
+            expected += [f"wall {i} is not a facet the chambers give",
+                         f"facet of chambers [{j}], normals [{n}], is neither a wall nor "
+                         "on the boundary"]
+    assert sorted(neighbours) == [1, 2]
+    assert sorted(report.issues) == sorted(expected)
+
+
+def test_cover_verification_rejects_a_double_cover():
+    # five cones winding twice around the plane E: every facet is shared by
+    # two of them with opposite normals, so only the generic point sees
+    # that E is covered twice
+    cx = enumerate_chambers(weight_system([(1, 0), (0, 1), (-1, -1)]))
+    assert not cx.g_ample.inequalities
+    rays = [(1, 0), (-4, 3), (-1, -3), (1, 1), (-2, -1)]
+    chambers = tuple(
+        replace(cx.chambers[0], id=k, cone=cone_from_generators([a, b]),
+                representative=(a[0] + b[0], a[1] + b[1]))
+        for k, (a, b) in enumerate(zip(rays, rays[1:] + rays[:1])))
+    walls = []
+    for k, r in enumerate(rays):
+        n = next(h for h in chambers[k].cone.inequalities if dot(h, r) == 0)
+        left, right = (k - 1) % 5, k
+        if next(x for x in n if x) < 0:
+            left, right, n = right, left, vneg(n)
+        walls.append(Wall(left, right, n, cone_from_generators([r], ambient_dim=2)))
+    report = verify_disjoint_cover(
+        replace(cx, chambers=chambers, walls=tuple(walls), boundary_facets=()))
+    assert report.issues == ("the first representative is interior to 2 chambers and on the "
+                             "boundary of 0",)
+
+
+def _split(ch, h, new_id):
+    """The chamber cut in two along h: the h >= 0 side keeps its id."""
+    halves = [cone_from_inequalities(ch.cone.inequalities + (g,), ambient_dim=len(h))
+              for g in (h, vneg(h))]
+    return tuple(replace(ch, id=i, cone=c, representative=c.relative_interior_point())
+                 for i, c in zip((ch.id, new_id), halves))
+
+
+@settings(max_examples=40, deadline=None)
+@example([(1,)], 0, 0)
+@example([(1, 0), (0, 1), (-1, 0), (-1, -1)], 1, 0)
+@given(full_rank_columns(), st.integers(min_value=0), st.integers(min_value=0))
+def test_cover_verification_rejects_mutants(cols, pick, axis):
+    # dropping, duplicating or splitting a chamber, or swapping a wall's
+    # sides, each breaks the facet certificate
+    cx = enumerate_chambers(weight_system(cols))
+    assert verify_disjoint_cover(cx).ok
+    chambers, n = cx.chambers, len(cx.chambers)
+    ch = chambers[pick % n]
+    mutants = [chambers[:ch.id] + chambers[ch.id + 1:], chambers + (replace(ch, id=n),)]
+    p = ch.representative
+    if len(p) > 1:
+        # the hyperplane h = p_j e_i - p_i e_j through p, for p_i nonzero
+        i = next(k for k, x in enumerate(p) if x)
+        j = (i + 1 + axis % (len(p) - 1)) % len(p)
+        h = tuple(p[j] * (k == i) - p[i] * (k == j) for k in range(len(p)))
+        mutants.append(chambers[:ch.id] + _split(ch, h, n) + chambers[ch.id + 1:])
+    reports = [verify_disjoint_cover(replace(cx, chambers=m)) for m in mutants]
+    if cx.walls:
+        walls = list(cx.walls)
+        w = walls[pick % len(walls)]
+        walls[pick % len(walls)] = replace(w, left=w.right, right=w.left)
+        reports.append(verify_disjoint_cover(replace(cx, walls=tuple(walls))))
+    assert not any(r.ok for r in reports), [r.issues for r in reports]
 
 
 small = st.integers(min_value=-2, max_value=2)

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from .cones import Cone, cone_from_generators, intersect, minkowski_sum
 from .errors import DegenerateLinearizationError, InvariantViolationError
-from .linalg import IntVec, dot, primitive, to_int_vec
-from .toric import Fan, _check_chi, _interior_masks, canonicalize_fan, gale_dual, is_complete
+from .linalg import IntVec, dot, primitive, vneg
+from .toric import Fan, _check_chi, canonicalize_fan, gale_dual, is_complete
 from .vgit import Chamber, ChamberComplex, Wall, chamber_of
 
 
@@ -288,77 +288,42 @@ def _interior_chamber(complex_: ChamberComplex, chi, label: str) -> int:
 def _segment_walk(
     complex_: ChamberComplex, chi_from, chi_to
 ) -> tuple[tuple[int, ...], tuple[Wall, ...], tuple[Fraction, ...]]:
-    """Chambers, walls and crossing times along the segment between two characters.
+    """Chambers, walls and crossing times along the segment from p to q.
 
-    If the segment meets two candidate walls at the same parameter, the
-    target endpoint is perturbed along a moment curve (staying inside its
-    chamber) until all crossing parameters are distinct.  The times then
-    refer to the perturbed segment, so they stay strictly increasing.  The
-    chamber after each crossing is the one whose key is read at the
-    midpoint to the next crossing; a crossing that keeps the chamber is no
-    wall and is skipped.  An endpoint on a hyperplane spanned by columns
-    raises DegenerateLinearizationError.
+    With d = q - p, each chamber is left through the wall on the facet, of
+    inward normal f with f.d < 0, whose exit time
+    (f.p, f_1, ..., f_rho) / (-f.d) is lexicographically least.  That is
+    the segment moved by e e_1 + e^2 e_2 + ..., e -> 0+ (as in _key_at),
+    which crosses one wall at a time.  The crossing time is the first
+    entry, the parameter on the given segment; it repeats where the
+    segment passes through a face of codimension 2 or more.  An endpoint
+    not interior to a chamber raises DegenerateLinearizationError.
     """
     ws = complex_.weights
     p = _check_chi(ws, chi_from)
     q = _check_chi(ws, chi_to)
-    start = _interior_chamber(complex_, p, "source")
+    cur = _interior_chamber(complex_, p, "source")
     end = _interior_chamber(complex_, q, "target")
-    if start == end:
-        return (start,), (), ()
-    hyps = complex_.hyperplanes
-    weight = max(sum(abs(x) for x in h) for h in hyps)
-    base = 2 * weight + 1
-    denom = base
-    for _ in range(64):
-        if denom == base:
-            qq = q  # first attempt: the unperturbed endpoint
-        else:
-            # moment-curve perturbation too small to change any strict sign
-            qq = tuple(q[k] + Fraction(1, denom ** (k + 1)) for k in range(ws.rho))
-        times = []
-        for h in hyps:
-            sp = dot(h, p)
-            sq = dot(h, qq)
-            if sp == 0 or sq == 0:
-                raise DegenerateLinearizationError(
-                    f"{'source' if sp == 0 else 'target'} character "
-                    f"{p if sp == 0 else q} lies on a hyperplane spanned by weight columns"
-                )
-            if (sp > 0) != (sq > 0):
-                times.append(Fraction(sp, sp - sq))
-        if len(set(times)) == len(times):
-            break
-        denom *= 2
-    else:
-        raise InvariantViolationError("could not separate wall crossings by perturbation")
-
-    times.sort()
-    wall_by_pair = {frozenset((w.left, w.right)): w for w in complex_.walls}
-    chamber_by_key = {ch.key: ch.id for ch in complex_.chambers}
-
-    path, walls, crossed = [start], [], []
-    for t, after in zip(times, times[1:] + [1]):
-        mid = (t + after) / 2
-        key = _interior_masks(ws, to_int_vec([a + mid * (b - a) for a, b in zip(p, qq)]))
-        nxt = chamber_by_key.get(key)
-        if nxt is None:
-            raise InvariantViolationError(f"segment enters no chamber at time {t}")
-        if nxt == path[-1]:
-            continue
-        wall = wall_by_pair.get(frozenset((path[-1], nxt)))
-        if wall is None:
-            raise InvariantViolationError(
-                f"consecutive chambers {path[-1]} and {nxt} do not share a wall"
-            )
+    d = tuple(b - a for a, b in zip(p, q))
+    across = {}
+    for w in complex_.walls:
+        across[w.right, w.normal] = (w, w.left)
+        across[w.left, vneg(w.normal)] = (w, w.right)
+    path, walls, times = [cur], [], []
+    while cur != end:
+        exits = []
+        for f in complex_.chambers[cur].cone.inequalities:
+            speed = -dot(f, d)
+            if speed > 0:
+                exits.append((tuple(Fraction(x, speed) for x in (dot(f, p), *f)), f))
+        exit_time, f = min(exits, default=(None, None))
+        if (cur, f) not in across:
+            raise InvariantViolationError(f"segment leaves chamber {cur} through no wall")
+        wall, cur = across[cur, f]
+        path.append(cur)
         walls.append(wall)
-        path.append(nxt)
-        crossed.append(t)
-    if path[-1] != end:
-        raise InvariantViolationError(
-            f"segment walk ended in chamber {path[-1]}, expected {end}"
-        )
-    return tuple(path), tuple(walls), tuple(crossed)
+        times.append(exit_time[0])
+    return tuple(path), tuple(walls), tuple(times)
 
 
 def factor_contraction(complex_: ChamberComplex, chi_from, chi_to) -> Factorization:

@@ -283,13 +283,13 @@ def gale_dual(ws: WeightSystem) -> tuple[IntVec, ...]:
 
 
 def wall_hyperplanes(ws: WeightSystem) -> tuple[IntVec, ...]:
-    """Candidate wall normals: primitive normals of hyperplanes spanned by columns.
+    """Primitive normals of the hyperplanes spanned by columns.
 
     Every hyperplane spanned by weight columns holds rho-1 independent
     columns, and adding one column off it gives a simplicial cone with that
     hyperplane as a facet, so the facet normals of ``ws.simplicial_cones``
-    are all the candidates.  Normals are sign-normalized (first nonzero
-    entry positive) and deduplicated.
+    are all of them.  Normals are sign-normalized (first nonzero entry
+    positive) and deduplicated.  Each wall lies in one; no walk reads them.
     """
     normals = set()
     for _, facet_normals in ws.simplicial_cones:
@@ -341,29 +341,27 @@ def _interior_masks(ws: WeightSystem, chi) -> tuple[int, ...]:
 
     Raises RankDeficientWeightsError when the table is empty,
     EmptySemistableLocusError when no closed table cone holds chi (chi is
-    outside the effective cone), and DegenerateLinearizationError when chi
-    lies on a hyperplane of the table.
+    outside the effective cone), and DegenerateLinearizationError when a
+    closed table cone holds chi on its boundary, exactly when chi is in a
+    column cone of dimension below rho and so in no chamber's interior.
     """
     chi = _check_chi(ws, chi)
-    semistable = False
     wall = None
     interior = []
     for subset, normals in _full_rank_table(ws):
         values = [dot(h, chi) for h in normals]
-        if min(values) >= 0:
-            semistable = True
-            if min(values) > 0:
-                interior.append(sum(1 << j for j in subset))
-        if wall is None and 0 in values:
+        if min(values) > 0:
+            interior.append(sum(1 << j for j in subset))
+        elif wall is None and min(values) == 0:
             wall = normals[values.index(0)]
-    if not semistable:
-        raise EmptySemistableLocusError(
-            f"character {chi} lies outside the semistable cone; no semistable points"
-        )
     if wall is not None:
         raise DegenerateLinearizationError(
             f"character {chi} lies on a hyperplane spanned by weight columns: "
             f"the one with normal {wall}"
+        )
+    if not interior:
+        raise EmptySemistableLocusError(
+            f"character {chi} lies outside the semistable cone; no semistable points"
         )
     return tuple(interior)
 
@@ -381,7 +379,7 @@ def quotient_fan_data(ws: WeightSystem, chi) -> QuotientData:
     appearing in no maximal cone correspond to divisors contracted by the
     linearization and are dropped (with their indices reported).  A chi in
     no closed simplicial column cone has an empty semistable locus; a chi
-    on a hyperplane spanned by columns is degenerate.
+    on the boundary of one, in no chamber's interior, is degenerate.
     """
     interior = _interior_masks(ws, chi)
     gale = gale_dual(ws)
@@ -437,21 +435,23 @@ def unstable_locus(ws: WeightSystem, chi) -> UnstableReport:
     """Maximal unstable coordinate supports for a character, from the table.
 
     A point is unstable exactly when chi is outside the cone spanned by
-    the weights of its nonzero coordinates.  For chi off every table
-    hyperplane, chi lies in that cone exactly when the support contains a
-    table subset whose open cone holds chi: by Caratheodory chi is in the
-    cone of some independent subset of the support, and fewer than rho
-    columns span a space inside some table hyperplane.  So the maximal
-    unstable supports are the complements of the minimal transversals of
-    those subsets, the irrelevant ideal of Cox (1995).  The work is one
-    pass over the table plus Berge's algorithm, whose families are
-    antichains of column subsets; no cone is built.
+    the weights of its nonzero coordinates.  For chi on the boundary of no
+    closed table cone, chi lies in that cone exactly when the support
+    contains a table subset whose open cone holds chi: by Caratheodory chi
+    is a positive combination of some independent subset of the support,
+    and fewer than rho such columns extend to a table subset whose closed
+    cone holds chi on its boundary.  So the maximal unstable supports are
+    the complements of the minimal transversals of those subsets, the
+    irrelevant ideal of Cox (1995).  The work is one pass over the table
+    plus Berge's algorithm, whose families are antichains of column
+    subsets; no cone is built.
 
     A chi outside the closed effective cone gives the single stratum of
     all coordinates, with codimension 0 (the empty set is the transversal
-    of the empty family).  A chi on a table hyperplane, chi = 0 included,
-    raises DegenerateLinearizationError, and rank-deficient weights raise
-    RankDeficientWeightsError, as in quotient_fan_data.
+    of the empty family).  A chi on the boundary of a closed table cone,
+    chi = 0 included, raises DegenerateLinearizationError, and
+    rank-deficient weights raise RankDeficientWeightsError, as in
+    quotient_fan_data.
     """
     try:
         interior = _interior_masks(ws, chi)

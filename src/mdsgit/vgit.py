@@ -12,21 +12,20 @@ on the boundary of the semistable cone, all with exact arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, count
+from itertools import chain
 
 from .cones import Cone, cone_from_generators, cone_from_inequalities
-from .errors import InvariantViolationError
+from .errors import (DegenerateLinearizationError, EmptySemistableLocusError,
+                     InvariantViolationError)
 from .linalg import IntVec, dot, vneg
 from .toric import (
     QuotientData,
     WeightSystem,
-    _check_chi,
     _full_rank_table,
     _interior_masks,
     _used_columns,
     g_ample_cone,
     quotient_fan_data,
-    wall_hyperplanes,
 )
 
 
@@ -36,8 +35,8 @@ class Chamber:
 
     key holds, in table order, the column bitmasks of the table subsets
     whose open cone holds the chamber; the cone is the intersection of
-    their closed cones.  The representative lies off every hyperplane
-    spanned by columns, and the key read there is key.
+    their closed cones.  The same key is read at every interior point of
+    the chamber, the representative (the sum of its generators) included.
     """
 
     id: int
@@ -81,7 +80,6 @@ class ChamberComplex:
 
     weights: WeightSystem
     g_ample: Cone
-    hyperplanes: tuple[IntVec, ...]
     chambers: tuple[Chamber, ...]
     walls: tuple[Wall, ...]
     boundary_facets: tuple[BoundaryFacet, ...]
@@ -112,22 +110,13 @@ def _key_at(table, rows) -> tuple[int, ...]:
                         for h in normals))
 
 
-def _representative(ws: WeightSystem, hyps, cone: Cone, key) -> IntVec:
-    """An integer point inside the chamber and off every hyperplane spanned by columns.
+def _representative(ws: WeightSystem, cone: Cone, key) -> IntVec:
+    """The sum of the chamber's generators, an integer point inside it.
 
-    The sum p of the generators when no hyperplane holds it, else K p + d
-    with d = (1, k, ..., k^(rho-1)) off each hyperplane holding p and
-    K = 1 + max |f.d| over the chamber's facets f and the hyperplanes, so
-    each sign of p that is not zero is kept.  Raises
-    InvariantViolationError unless the key read there is the chamber's.
+    Raises InvariantViolationError unless the key read there is the
+    chamber's.
     """
     p = cone.relative_interior_point()
-    held = [h for h in hyps if dot(h, p) == 0]
-    if held:
-        d = next(d for d in (tuple(k**i for i in range(ws.rho)) for k in count(1))
-                 if all(dot(h, d) for h in held))
-        big = 1 + max(abs(dot(f, d)) for f in cone.inequalities + hyps)
-        p = tuple(big * a + b for a, b in zip(p, d))
     if _interior_masks(ws, p) != key:
         raise InvariantViolationError(f"representative {p} reads another key than its chamber")
     return p
@@ -167,12 +156,11 @@ def enumerate_chambers(ws: WeightSystem) -> ChamberComplex:
 
     order = sorted(found, key=lambda k: (found[k][0].generators, found[k][0].lineality))
     id_of = {key: i for i, key in enumerate(order)}
-    hyps = wall_hyperplanes(ws)
     chambers, walls, boundary = [], [], []
     crossed = {(key, other, n) for key in order for n, other, _ in found[key][1]}
     for i, key in enumerate(order):
         cone, sides = found[key]
-        chambers.append(Chamber(i, cone, _representative(ws, hyps, cone, key), key))
+        chambers.append(Chamber(i, cone, _representative(ws, cone, key), key))
         for n, other, facet in sides:
             if not other:
                 boundary.append(BoundaryFacet(i, n, facet))
@@ -182,19 +170,22 @@ def enumerate_chambers(ws: WeightSystem) -> ChamberComplex:
                 walls.append(Wall(id_of[other], i, n, facet))
     walls.sort(key=lambda w: (w.left, w.right))
     boundary.sort(key=lambda b: (b.chamber, b.normal))
-    return ChamberComplex(ws, g_ample_cone(ws), hyps, tuple(chambers), tuple(walls),
-                          tuple(boundary))
+    return ChamberComplex(ws, g_ample_cone(ws), tuple(chambers), tuple(walls), tuple(boundary))
 
 
 def chamber_of(complex_: ChamberComplex, chi) -> ChamberLocation:
-    """Locate a character within the chamber complex."""
-    chi = _check_chi(complex_.weights, chi)
-    loc = complex_.g_ample.contains(chi)
-    if loc == "outside":
+    """Locate a character: by the key read at chi, else by scanning walls and boundary facets."""
+    try:
+        key = _interior_masks(complex_.weights, chi)
+    except EmptySemistableLocusError:
         return ChamberLocation("outside")
-    for ch in complex_.chambers:
-        if ch.cone.contains(chi) == "interior":
-            return ChamberLocation("interior", chamber=ch.id)
+    except DegenerateLinearizationError:
+        pass
+    else:
+        for ch in complex_.chambers:
+            if ch.key == key:
+                return ChamberLocation("interior", chamber=ch.id)
+        raise InvariantViolationError(f"character {tuple(chi)} reads the key of no chamber")
     for idx, w in enumerate(complex_.walls):
         if w.facet.contains(chi) == "interior":
             return ChamberLocation("wall", wall=idx)

@@ -281,6 +281,38 @@ def table_keys(columns, points):
     ]
 
 
+def crossing_issues(complex_, p, q, factorization) -> list[str]:
+    """What is wrong with the crossing times of a factorization from p to q.
+
+    The times lie in (0, 1) and never decrease.  At each time t the point
+    p + t (q - p) is on the wall crossed there: on its hyperplane and in
+    the closed cones of the chambers before and after.  A time repeats
+    only where that point is on the relative boundary of both walls'
+    facets, a face of codimension 2 or more: some facet inequality of the
+    chamber before the crossing, other than the wall's, vanishes there.
+    Reads the chambers' inequalities and the walls' normals only.
+    """
+    def value(h, x):
+        return sum(a * b for a, b in zip(h, x))
+
+    ineqs = [ch.cone.inequalities for ch in complex_.chambers]
+    path, times = factorization.chambers, factorization.crossing_times
+    issues = []
+    if not all(0 < t < 1 for t in times) or list(times) != sorted(times):
+        issues.append(f"times {times} are not nondecreasing in (0, 1)")
+    on_face = []
+    for k, (t, c) in enumerate(zip(times, factorization.crossings)):
+        x = tuple(a + t * (b - a) for a, b in zip(p, q))
+        closed = all(value(h, x) >= 0 for i in path[k:k + 2] for h in ineqs[i])
+        if value(c.wall.normal, x) or not closed:
+            issues.append(f"the point at time {t} is not on the wall it crosses")
+        on_face.append(sum(1 for h in ineqs[path[k]] if not value(h, x)) > 1)
+    for k in range(len(times) - 1):
+        if times[k] == times[k + 1] and not (on_face[k] and on_face[k + 1]):
+            issues.append(f"time {times[k]} repeats off a face of codimension 2")
+    return issues
+
+
 @dataclass(frozen=True)
 class GroupedCells:
     """The arrangement's cells joined by key: chambers, walls and boundary facets.

@@ -146,17 +146,30 @@ def test_quotient_exit_codes(blp2_file, tmp_path, capsys):
     assert "rank below 2" in capsys.readouterr().err
 
 
-def test_character_across_a_chamber_exits_4(tmp_path, capsys):
-    # (-1, 0, 2, 3, 4) is the sum of the generators of one surface7 chamber
-    # and lies on the hyperplane with normal (0, 1, 0, 0, 0), which crosses it
+def test_character_on_a_hyperplane_inside_a_chamber(tmp_path, capsys):
+    # (-1, 0, 2, 3, 4) is the sum of the generators of surface7's chamber 0
+    # and lies on the hyperplane with normal (0, 1, 0, 0, 0), which crosses
+    # it; (-3, 1, 9, 13, 17) lies in the same chamber off every hyperplane
     path = tmp_path / "surface7.json"
     path.write_text(json.dumps(SURFACE7))
-    calls = (["quotient", str(path), "--chi=-1,0,2,3,4"],
-             ["factor", str(path), "--from=-1,0,2,3,4", "--to=20"],
-             ["factor", str(path), "--from=20", "--to=-1,0,2,3,4"])
-    for argv in calls:
-        assert main(argv) == 4
+    quotients = []
+    for chi in ("-1,0,2,3,4", "-3,1,9,13,17"):
+        assert main(["quotient", str(path), f"--chi={chi}", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        quotients.append({k: v for k, v in doc.items() if k != "chi"})
+    assert quotients[0] == quotients[1]
+    for ends, path_ in ((["--from=-1,0,2,3,4", "--to=20"], [0, 18, 20]),
+                        (["--from=20", "--to=-1,0,2,3,4"], [20, 18, 0])):
+        assert main(["factor", str(path), *ends, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["chamber_path"] == path_ and doc["crossing_times"] == ["1/2", "1/2"]
+    # a point inside the wall between chambers 0 and 1, and one inside a
+    # facet of the effective cone, are still refused
+    for chi, where in (("-1,-1,1,3,4", "wall"), ("0,-1,0,2,3", "boundary")):
+        assert main(["quotient", str(path), f"--chi={chi}"]) == 4
         assert "lies on a hyperplane spanned by weight columns" in capsys.readouterr().err
+        assert main(["factor", str(path), f"--from={chi}", "--to=20"]) == 4
+        assert f"not in a chamber interior (location: {where})" in capsys.readouterr().err
 
 
 def test_oversized_weight_system_exits_3(tmp_path, capsys, monkeypatch):

@@ -40,7 +40,7 @@ from mdsgit.mori import (
 from mdsgit.linalg import identity_rows
 from mdsgit.toric import cox_weights, g_ample_cone, make_fan, quotient_fan_data, weight_system
 from mdsgit.vgit import chamber_of, enumerate_chambers
-from oracles import quotient_cones, table_keys
+from oracles import crossing_issues, quotient_cones, table_keys
 
 COMPLETE_FANS = [
     projective_plane,
@@ -368,16 +368,18 @@ def test_factor_all_pairs():
         f = factor_contraction(cx, reps[a], reps[b])
         assert f.chambers[0] == a and f.chambers[-1] == b
         assert len(f.chambers) == len(f.crossings) + 1
-        ts = f.crossing_times
-        assert all(0 < t < 1 for t in ts)
-        assert list(ts) == sorted(set(ts))
+        assert crossing_issues(cx, reps[a], reps[b], f) == []
         for left, right, c in zip(f.chambers, f.chambers[1:], f.crossings):
             assert {c.wall.left, c.wall.right} == {left, right}
+    # the segment from chamber 0 to chamber 4 passes through the ray (1, 0, 1)
+    f = factor_contraction(cx, reps[0], reps[4])
+    assert f.chambers == (0, 2, 4)
+    assert f.crossing_times == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_factor_resolves_tied_crossings():
     # the midpoint (4, 4, 4) of this segment lies on three hyperplanes at
-    # once, so the walk must perturb; the path stays a valid chain
+    # once; the walk breaks the tie exactly and crosses three walls there
     ws = weight_system([(1, 0, 0), (0, 1, 0), (0, 0, 1),
                         (1, 1, 0), (1, 0, 1), (0, 1, 1)])
     cx = enumerate_chambers(ws)
@@ -385,8 +387,8 @@ def test_factor_resolves_tied_crossings():
     assert f.chambers[0] == chamber_of(cx, (7, 4, 2)).chamber
     assert f.chambers[-1] == chamber_of(cx, (1, 4, 6)).chamber
     assert len(f.crossings) == 5
-    ts = f.crossing_times
-    assert list(ts) == sorted(set(ts)) and all(0 < t < 1 for t in ts)
+    assert f.crossing_times == tuple(Fraction(t) for t in ("1/10", "1/2", "1/2", "1/2", "9/10"))
+    assert crossing_issues(cx, (7, 4, 2), (1, 4, 6), f) == []
     assert [c.kind for c in f.crossings] == [
         "divisorial", "small", "small", "small", "divisorial",
     ]

@@ -40,6 +40,7 @@ from mdsgit.toric import (
 from mdsgit.vgit import Wall, chamber_of, enumerate_chambers, verify_disjoint_cover
 from oracles import (
     count_chambers_bruteforce,
+    crossing_issues,
     grouped_cells,
     quotient_cones,
     spanning_subsets,
@@ -107,8 +108,7 @@ def test_representatives_are_interior():
     cx = enumerate_chambers(cox_weights(twice_blown_up_plane()))
     for ch in cx.chambers:
         assert ch.cone.contains(ch.representative) == "interior"
-        for h in cx.hyperplanes:
-            assert dot(h, ch.representative) != 0
+        assert quotient_fan_data(cx.weights, ch.representative).interior == ch.key
 
 
 def test_wall_orientation():
@@ -172,7 +172,6 @@ def test_enumeration_is_deterministic():
     assert a.chambers == b.chambers
     assert a.walls == b.walls
     assert a.boundary_facets == b.boundary_facets
-    assert a.hyperplanes == b.hyperplanes
 
 
 def test_chamber_keys_match_the_oracle():
@@ -299,17 +298,17 @@ def test_random_weights_match_bruteforce(cols):
     )
     _assert_grouped(cx, oracle)
     assert verify_disjoint_cover(cx).ok
-    # factor_contraction reads each chamber along the segment by its key:
-    # between any two chambers it starts and ends in the right ones, at
-    # strictly increasing times, across walls that join consecutive
-    # chambers, and classifies each crossing; across an exchange the
-    # oracle's quotient fans agree
+    # factor_contraction walks chamber facets: between any two chambers it
+    # starts and ends in the right ones, at exact times on the walls it
+    # crosses, across walls that join consecutive chambers, and
+    # classifies each crossing; across an exchange the oracle's quotient
+    # fans agree
     for a in cx.chambers:
         for b in cx.chambers:
             f = factor_contraction(cx, a.representative, b.representative)
             path, times = f.chambers, f.crossing_times
             assert path[0] == a.id and path[-1] == b.id
-            assert all(s < t for s, t in zip(times, times[1:]))
+            assert crossing_issues(cx, a.representative, b.representative, f) == []
             assert len(f.crossings) == len(times) == len(path) - 1
             for cur, nxt, c in zip(path, path[1:], f.crossings):
                 assert {c.wall.left, c.wall.right} == {cur, nxt}
@@ -393,6 +392,29 @@ def test_rank3_cells_and_keys():
     keys = table_keys(RANK3_COLUMNS, [ch.representative for ch in cx.chambers])
     assert set(keys) == set(oracle.chambers.values())
     assert keys == [_subsets(ch.key) for ch in cx.chambers]
+
+
+@settings(max_examples=60, deadline=None)
+@example(RANK3_COLUMNS)
+@example([(1, 0), (0, 1), (-1, 0), (-1, -1)])
+@given(full_rank_columns())
+def test_chamber_of_reads_keys_anywhere_inside(cols):
+    # sums of subsets of a chamber's generators, on hyperplanes spanned by
+    # columns or off them: chamber_of agrees with a scan of the chambers'
+    # interiors, and the quotient at an interior sum is the chamber's
+    ws = weight_system(cols)
+    cx = enumerate_chambers(ws)
+    for ch in cx.chambers:
+        gens = ch.cone.generators
+        for mask in range(1, 1 << len(gens)):
+            x = tuple(map(sum, zip(*(g for k, g in enumerate(gens) if mask >> k & 1))))
+            holding = [c.id for c in cx.chambers if c.cone.contains(x) == "interior"]
+            loc = chamber_of(cx, x)
+            if holding:
+                assert holding == [ch.id] and (loc.kind, loc.chamber) == ("interior", ch.id)
+                assert quotient_fan_data(ws, x) == cx.quotient(ch.id)
+            else:
+                assert loc.kind != "interior"
 
 
 def _cross(u, v):

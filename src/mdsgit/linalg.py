@@ -371,5 +371,7 @@ def kernel_basis(rows, ncols: int) -> IntRows:
 
 
 def saturate_rows(rows, ncols: int) -> IntRows:
-    """Hermite basis of the saturation of the row lattice in Z^ncols."""
+    """Hermite basis of the saturation of the row lattice in Z^ncols; () for no rows."""
+    if not rows:
+        return ()
     return kernel_basis(kernel_basis(rows, ncols), ncols)

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .cones import Cone, cone_from_generators, cone_from_inequalities
+from .cones import Cone, cone_from_inequalities
 from .errors import (DegenerateLinearizationError, EmptySemistableLocusError,
                      InvariantViolationError)
-from .linalg import IntVec, dot, vneg
+from .linalg import IntVec, dot, primitive, vneg, vscale, vsub
 from .toric import (
     QuotientData,
     WeightSystem,
@@ -47,7 +47,11 @@ class Chamber:
 
 @dataclass(frozen=True)
 class Wall:
-    """Shared facet of two chambers; the normal is positive on the right chamber."""
+    """Shared facet of two chambers; the normal is positive on the right chamber.
+
+    The normal's first nonzero entry is positive, and the facet is read off
+    the right chamber (see _facets): canonical, so == is geometric equality.
+    """
 
     left: int
     right: int
@@ -57,7 +61,10 @@ class Wall:
 
 @dataclass(frozen=True)
 class BoundaryFacet:
-    """Chamber facet on the boundary of the semistable cone; normal points inward."""
+    """Chamber facet on the boundary of the semistable cone; normal points inward.
+
+    The facet is read off its chamber (see _facets), in canonical form.
+    """
 
     chamber: int
     normal: IntVec
@@ -122,18 +129,83 @@ def _representative(ws: WeightSystem, cone: Cone, key) -> IntVec:
     return p
 
 
+def _up(n) -> IntVec:
+    """n or -n, whichever has its first nonzero entry positive."""
+    return n if next(x for x in n if x) > 0 else vneg(n)
+
+
+def _facets(cone: Cone) -> dict[IntVec, Cone]:
+    """Each facet of a chamber by its inward normal, read off the chamber.
+
+    A chamber is pointed and full-dimensional, so its facet with normal n
+    is canonical as it stands: the tight generators, no lineality, the
+    equation n with its first nonzero entry positive, and the other
+    normals g whose tight sets inside the facet are inclusion-maximal,
+    projected off n.  Those tight sets are the ridges: each ridge lies on
+    exactly one other facet, and every smaller face lies in a ridge.
+    Raises InvariantViolationError if the chamber has lineality.
+    """
+    if cone.lineality:
+        raise InvariantViolationError(f"chamber with generators {cone.generators} has lineality")
+    gens, normals = cone.generators, cone.inequalities
+    tight = [sum(1 << k for k, g in enumerate(gens) if dot(n, g) == 0) for n in normals]
+    facets = {}
+    for i, n in enumerate(normals):
+        meets = [(tight[i] & t, g) for t, g in zip(tight, normals) if g != n]
+        nn = dot(n, n)
+        ridges = {primitive(vsub(vscale(nn, g), vscale(dot(g, n), n)))
+                  for t, g in meets if not any(t != u and t & u == t for u, _ in meets)}
+        facets[n] = Cone(cone.ambient_dim,
+                         tuple(g for k, g in enumerate(gens) if tight[i] >> k & 1),
+                         tuple(sorted(ridges)), (_up(n),), ())
+    return facets
+
+
+def _neighbour_reader(table):
+    """A function (key, p, n) giving the key at p - e n, e -> 0+, for p on a chamber facet.
+
+    key is the chamber's and n the facet's inward normal.  A subset whose
+    closed cone holds the chamber and has p, a relative-interior point of
+    the facet, on its boundary has the facet's hyperplane as a facet, and
+    so a facet normal parallel to n; every other subset keeps its
+    membership.  So the table is indexed by sign-normalized facet normal,
+    and only the subsets under +-n are re-read.  Empty exactly when p - e n
+    is outside the semistable cone.
+    """
+    position = {}
+    parallel: dict[IntVec, tuple[list, set]] = {}  # normal -> its subsets and their masks
+    for entry in table:
+        mask = sum(1 << j for j in entry[0])
+        position[mask] = len(position)
+        for h in entry[1]:
+            sub, masks = parallel.setdefault(_up(h), ([], set()))
+            sub.append(entry)
+            masks.add(mask)
+
+    def across(key, p, n) -> tuple[int, ...]:
+        sub, changing = parallel[_up(n)]
+        kept = [m for m in key if m not in changing]
+        return tuple(sorted(kept + list(_key_at(sub, [p, vneg(n)])), key=position.__getitem__))
+
+    return across
+
+
 def enumerate_chambers(ws: WeightSystem) -> ChamberComplex:
     """Enumerate all GIT chambers, walls, and boundary facets of a weight system.
 
-    Walks from key to key, starting at the sum of all columns.  A chamber
-    is one cone_from_inequalities over its key's facet normals.  Across a
-    facet with inward normal n, the key at p - e n, for p the sum of the
-    facet's generators, is empty on the boundary of the semistable cone and
-    names the neighbour otherwise, which must reach back.  A wall's facet
-    is built on the side its sign-normalized normal points into.
+    Walks from key to key, starting at the sum of all columns.  Each
+    chamber is converted once, by cone_from_inequalities over its key's
+    facet normals, and its facets are read off it (_facets).  Across a
+    facet with inward normal n the key at p - e n, for p the sum of the
+    facet's generators, re-reads only the subsets with a facet normal
+    parallel to n (_neighbour_reader).  It is empty on the boundary of the
+    semistable cone and names the neighbour otherwise, which must reach
+    back.  A wall's facet is taken from the side its sign-normalized
+    normal points into.
     """
     table = _full_rank_table(ws)
     normals_of = {sum(1 << j for j in subset): normals for subset, normals in table}
+    across = _neighbour_reader(table)
     found: dict[tuple[int, ...], tuple] = {}
     todo = [_key_at(table, [tuple(map(sum, zip(*ws.columns)))])]
     while todo:
@@ -143,18 +215,14 @@ def enumerate_chambers(ws: WeightSystem) -> ChamberComplex:
         cone = cone_from_inequalities(
             sorted({h for m in key for h in normals_of[m]}), ambient_dim=ws.rho)
         sides = []
-        for n in cone.inequalities:
-            tight = [x for x in cone.generators if dot(n, x) == 0]
-            p = tuple(sum(x[i] for x in tight) for i in range(ws.rho))
-            other = _key_at(table, [p, vneg(n)])
-            facet = (cone_from_generators(tight, cone.lineality, ambient_dim=ws.rho)
-                     if not other or next(x for x in n if x) > 0 else None)
-            sides.append((n, other, facet))
+        for n, facet in _facets(cone).items():
+            other = across(key, facet.relative_interior_point(), n)
+            sides.append((n, other, facet if not other or _up(n) == n else None))
             if other:
                 todo.append(other)
         found[key] = (cone, sides)
 
-    order = sorted(found, key=lambda k: (found[k][0].generators, found[k][0].lineality))
+    order = sorted(found, key=lambda k: found[k][0].generators)
     id_of = {key: i for i, key in enumerate(order)}
     chambers, walls, boundary = [], [], []
     crossed = {(key, other, n) for key in order for n, other, _ in found[key][1]}

@@ -171,6 +171,12 @@ def test_saturate_rows():
     assert saturate_rows([[2, 4]], 2) == ((1, 2),)
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_saturate_no_rows(n):
+    # the saturation of the zero lattice is zero
+    assert saturate_rows((), n) == ()
+
+
 def test_solve_rational():
     sol = solve_rational([[2, 0], [0, 4]], (1, 2))
     assert sol == (Fraction(1, 2), Fraction(1, 2))

@@ -37,7 +37,15 @@ from mdsgit.toric import (
     wall_hyperplanes,
     weight_system,
 )
-from mdsgit.vgit import Wall, chamber_of, enumerate_chambers, verify_disjoint_cover
+from mdsgit.vgit import (
+    Wall,
+    _facets,
+    _key_at,
+    _neighbour_reader,
+    chamber_of,
+    enumerate_chambers,
+    verify_disjoint_cover,
+)
 from oracles import (
     count_chambers_bruteforce,
     crossing_issues,
@@ -415,6 +423,67 @@ def test_chamber_of_reads_keys_anywhere_inside(cols):
                 assert quotient_fan_data(ws, x) == cx.quotient(ch.id)
             else:
                 assert loc.kind != "interior"
+
+
+def _facet_mismatches(cx):
+    """Walls and boundary facets unequal to the conversion of their chamber's tight generators."""
+    sides = [(w.right, w.normal, w.facet) for w in cx.walls]
+    sides += [(b.chamber, b.normal, b.facet) for b in cx.boundary_facets]
+    wrong = []
+    for i, n, facet in sides:
+        tight = [g for g in cx.chambers[i].cone.generators if dot(n, g) == 0]
+        converted = cone_from_generators(tight, ambient_dim=cx.weights.rho)
+        if facet != converted:
+            wrong.append((i, n, facet, converted))
+    return wrong
+
+
+def _neighbour_mismatches(cx):
+    """Chamber facets where the normal index reads another key than the whole table."""
+    table = cx.weights.simplicial_cones
+    across = _neighbour_reader(table)
+    boundary = {(b.chamber, b.normal) for b in cx.boundary_facets}
+    wrong = []
+    for ch in cx.chambers:
+        for n in ch.cone.inequalities:
+            tight = [g for g in ch.cone.generators if dot(n, g) == 0]
+            p = tuple(sum(g[i] for g in tight) for i in range(cx.weights.rho))
+            key, full = across(ch.key, p, n), _key_at(table, [p, vneg(n)])
+            if key != full or (not key) != ((ch.id, n) in boundary):
+                wrong.append((ch.id, n, key, full))
+    return wrong
+
+
+@settings(max_examples=60, deadline=None)
+@example(RANK3_COLUMNS)
+@example([(1,), (-1,), (2,)])
+@example([(-1,), (-2,)])
+@given(full_rank_columns())
+def test_facets_read_off_their_chamber_are_canonical(cols):
+    assert _facet_mismatches(enumerate_chambers(weight_system(cols))) == []
+
+
+@settings(max_examples=60, deadline=None)
+@example(RANK3_COLUMNS)
+@example([(1,), (-1,), (2,)])
+@given(full_rank_columns())
+def test_neighbour_keys_read_by_the_normal_index(cols):
+    # the key re-read across a facet from the subsets with a parallel facet
+    # is the whole table's, and empty exactly on the boundary facets
+    assert _neighbour_mismatches(enumerate_chambers(weight_system(cols))) == []
+
+
+def test_prism3_facets_and_neighbour_keys(prism3):
+    cx = enumerate_chambers(cox_weights(prism3))
+    assert (len(cx.chambers), len(cx.walls), len(cx.boundary_facets)) == (24, 36, 6)
+    assert _facet_mismatches(cx) == []
+    assert _neighbour_mismatches(cx) == []
+
+
+def test_facets_refuse_a_chamber_with_lineality():
+    half_plane = cone_from_inequalities([(1, 0)], ambient_dim=2)
+    with pytest.raises(InvariantViolationError, match="lineality"):
+        _facets(half_plane)
 
 
 def _cross(u, v):

@@ -18,7 +18,7 @@ from .cones import Cone, cone_from_generators, intersect, minkowski_sum
 from .errors import DegenerateLinearizationError, InvariantViolationError
 from .linalg import IntVec, dot, primitive, vneg
 from .toric import Fan, _check_chi, canonicalize_fan, gale_dual, is_complete
-from .vgit import Chamber, ChamberComplex, Wall, chamber_of
+from .vgit import Chamber, ChamberComplex, Wall, _facet_point, chamber_of
 
 
 def picard_number(fan: Fan) -> int | None:
@@ -58,11 +58,9 @@ def moving_cone(complex_: ChamberComplex) -> MovingConeResult:
     )
     if ids:
         gens: list[IntVec] = []
-        lins: list[IntVec] = []
         for i in ids:
             gens.extend(complex_.chambers[i].cone.generators)
-            lins.extend(complex_.chambers[i].cone.lineality)
-        hull = cone_from_generators(gens, lins, ambient_dim=ws.rho)
+        hull = cone_from_generators(gens, ambient_dim=ws.rho)
         if hull != oracle:
             raise InvariantViolationError(
                 "union of column-preserving chambers does not match the moving cone"
@@ -256,7 +254,7 @@ def classify_boundary_facet(complex_: ChamberComplex, index: int) -> BoundaryCon
     """
     ws = complex_.weights
     bf = complex_.boundary_facets[index]
-    chi = bf.facet.relative_interior_point()
+    chi = _facet_point(complex_.chambers[bf.chamber].cone, bf.normal)
     quotient_dim = sum(1 for c in ws.columns if dot(bf.normal, c) == 0) - (ws.rho - 1)
     fiber_dim = ws.r - ws.rho - quotient_dim
     return BoundaryContraction(index, bf.chamber, chi, quotient_dim, fiber_dim)

@@ -17,7 +17,7 @@ from itertools import chain
 from .cones import Cone, cone_from_inequalities
 from .errors import (DegenerateLinearizationError, EmptySemistableLocusError,
                      InvariantViolationError)
-from .linalg import IntVec, dot, primitive, vneg, vscale, vsub
+from .linalg import IntVec, dot, vneg
 from .toric import (
     QuotientData,
     WeightSystem,
@@ -49,26 +49,25 @@ class Chamber:
 class Wall:
     """Shared facet of two chambers; the normal is positive on the right chamber.
 
-    The normal's first nonzero entry is positive, and the facet is read off
-    the right chamber (see _facets): canonical, so == is geometric equality.
+    The normal's first nonzero entry is positive.  The facet is the right
+    chamber's side on which the normal vanishes, and -normal is an inward
+    facet normal of the left chamber.
     """
 
     left: int
     right: int
     normal: IntVec
-    facet: Cone
 
 
 @dataclass(frozen=True)
 class BoundaryFacet:
     """Chamber facet on the boundary of the semistable cone; normal points inward.
 
-    The facet is read off its chamber (see _facets), in canonical form.
+    The facet is the chamber's side on which the normal vanishes.
     """
 
     chamber: int
     normal: IntVec
-    facet: Cone
 
 
 @dataclass(frozen=True)
@@ -134,31 +133,28 @@ def _up(n) -> IntVec:
     return n if next(x for x in n if x) > 0 else vneg(n)
 
 
-def _facets(cone: Cone) -> dict[IntVec, Cone]:
-    """Each facet of a chamber by its inward normal, read off the chamber.
+def _facet_point(cone: Cone, n) -> IntVec:
+    """The sum of the chamber's generators on which n vanishes.
 
-    A chamber is pointed and full-dimensional, so its facet with normal n
-    is canonical as it stands: the tight generators, no lineality, the
-    equation n with its first nonzero entry positive, and the other
-    normals g whose tight sets inside the facet are inclusion-maximal,
-    projected off n.  Those tight sets are the ridges: each ridge lies on
-    exactly one other facet, and every smaller face lies in a ridge.
-    Raises InvariantViolationError if the chamber has lineality.
+    A chamber is pointed and full-dimensional, so these generators span
+    its facet with inward normal n, and their sum lies in that facet's
+    relative interior.  Raises InvariantViolationError if the chamber has
+    lineality.
     """
     if cone.lineality:
         raise InvariantViolationError(f"chamber with generators {cone.generators} has lineality")
-    gens, normals = cone.generators, cone.inequalities
-    tight = [sum(1 << k for k, g in enumerate(gens) if dot(n, g) == 0) for n in normals]
-    facets = {}
-    for i, n in enumerate(normals):
-        meets = [(tight[i] & t, g) for t, g in zip(tight, normals) if g != n]
-        nn = dot(n, n)
-        ridges = {primitive(vsub(vscale(nn, g), vscale(dot(g, n), n)))
-                  for t, g in meets if not any(t != u and t & u == t for u, _ in meets)}
-        facets[n] = Cone(cone.ambient_dim,
-                         tuple(g for k, g in enumerate(gens) if tight[i] >> k & 1),
-                         tuple(sorted(ridges)), (_up(n),), ())
-    return facets
+    tight = [g for g in cone.generators if dot(n, g) == 0]
+    return tuple(sum(g[i] for g in tight) for i in range(cone.ambient_dim))
+
+
+def _in_facet(cone: Cone, n, chi) -> bool:
+    """Whether chi is in the relative interior of the chamber's facet with inward normal n.
+
+    Exact because the chamber is pointed and full-dimensional: each ridge
+    of the facet lies on another facet of the chamber, so chi is off every
+    ridge exactly when every other inequality is positive there.
+    """
+    return dot(n, chi) == 0 and all(dot(h, chi) > 0 for h in cone.inequalities if h != n)
 
 
 def _neighbour_reader(table):
@@ -195,13 +191,13 @@ def enumerate_chambers(ws: WeightSystem) -> ChamberComplex:
 
     Walks from key to key, starting at the sum of all columns.  Each
     chamber is converted once, by cone_from_inequalities over its key's
-    facet normals, and its facets are read off it (_facets).  Across a
-    facet with inward normal n the key at p - e n, for p the sum of the
-    facet's generators, re-reads only the subsets with a facet normal
+    facet normals, and nothing else is converted.  Across each chamber
+    normal n the key at p - e n, for p the sum of the generators tight on
+    n (_facet_point), re-reads only the subsets with a facet normal
     parallel to n (_neighbour_reader).  It is empty on the boundary of the
     semistable cone and names the neighbour otherwise, which must reach
-    back.  A wall's facet is taken from the side its sign-normalized
-    normal points into.
+    back.  A wall is listed once, from the side its sign-normalized normal
+    points into.
     """
     table = _full_rank_table(ws)
     normals_of = {sum(1 << j for j in subset): normals for subset, normals in table}
@@ -215,9 +211,9 @@ def enumerate_chambers(ws: WeightSystem) -> ChamberComplex:
         cone = cone_from_inequalities(
             sorted({h for m in key for h in normals_of[m]}), ambient_dim=ws.rho)
         sides = []
-        for n, facet in _facets(cone).items():
-            other = across(key, facet.relative_interior_point(), n)
-            sides.append((n, other, facet if not other or _up(n) == n else None))
+        for n in cone.inequalities:
+            other = across(key, _facet_point(cone, n), n)
+            sides.append((n, other))
             if other:
                 todo.append(other)
         found[key] = (cone, sides)
@@ -225,17 +221,17 @@ def enumerate_chambers(ws: WeightSystem) -> ChamberComplex:
     order = sorted(found, key=lambda k: found[k][0].generators)
     id_of = {key: i for i, key in enumerate(order)}
     chambers, walls, boundary = [], [], []
-    crossed = {(key, other, n) for key in order for n, other, _ in found[key][1]}
+    crossed = {(key, other, n) for key in order for n, other in found[key][1]}
     for i, key in enumerate(order):
         cone, sides = found[key]
         chambers.append(Chamber(i, cone, _representative(ws, cone, key), key))
-        for n, other, facet in sides:
+        for n, other in sides:
             if not other:
-                boundary.append(BoundaryFacet(i, n, facet))
-            elif facet is not None:
+                boundary.append(BoundaryFacet(i, n))
+            elif _up(n) == n:
                 if (other, key, vneg(n)) not in crossed:
                     raise InvariantViolationError(f"chamber {i}'s wall {n} is one-sided")
-                walls.append(Wall(id_of[other], i, n, facet))
+                walls.append(Wall(id_of[other], i, n))
     walls.sort(key=lambda w: (w.left, w.right))
     boundary.sort(key=lambda b: (b.chamber, b.normal))
     return ChamberComplex(ws, g_ample_cone(ws), tuple(chambers), tuple(walls), tuple(boundary))
@@ -254,11 +250,12 @@ def chamber_of(complex_: ChamberComplex, chi) -> ChamberLocation:
             if ch.key == key:
                 return ChamberLocation("interior", chamber=ch.id)
         raise InvariantViolationError(f"character {tuple(chi)} reads the key of no chamber")
+    chambers = complex_.chambers
     for idx, w in enumerate(complex_.walls):
-        if w.facet.contains(chi) == "interior":
+        if _in_facet(chambers[w.right].cone, w.normal, chi):
             return ChamberLocation("wall", wall=idx)
     for idx, b in enumerate(complex_.boundary_facets):
-        if b.facet.contains(chi) == "interior":
+        if _in_facet(chambers[b.chamber].cone, b.normal, chi):
             return ChamberLocation("boundary", chamber=b.chamber, boundary_facet=idx)
     return ChamberLocation("face")
 
@@ -282,7 +279,7 @@ def _unmatched(listed, found: set, name: str) -> list[str]:
             found.remove(item)
         else:
             issues.append(f"{name} {idx} is not a facet the chambers give")
-    return issues + [f"unlisted {name} {item[:-2]}" for item in sorted(found)]
+    return issues + [f"unlisted {name} {item}" for item in sorted(found)]
 
 
 def verify_disjoint_cover(complex_: ChamberComplex) -> CoverReport:
@@ -293,9 +290,10 @@ def verify_disjoint_cover(complex_: ChamberComplex) -> CoverReport:
     named by its tight generators and the chamber's lineality, is shared by
     two chambers with opposite inward normals or lies in one chamber with
     one of E's; and one generic point lies in one chamber, so every generic
-    point does.  The shared facets must be the walls (right where the
-    normal's first nonzero entry is positive), the others the boundary
-    facets.  Reads no key, table or hyperplane.
+    point does.  The shared facets, as (left, right, normal) with the
+    normal's first nonzero entry positive and inward on the right, must be
+    the walls; the others, as (chamber, normal), the boundary facets.
+    Reads no key, table or hyperplane.
     """
     issues = []
     chambers, e = complex_.chambers, complex_.g_ample
@@ -316,17 +314,16 @@ def verify_disjoint_cover(complex_: ChamberComplex) -> CoverReport:
     walls, boundary = set(), set()
     for facet, shared in facets.items():
         if len(shared) == 1 and shared[0][1] in e.inequalities:
-            boundary.add((*shared[0], *facet))
+            boundary.add(shared[0])
         elif len(shared) == 2 and shared[0][1] == vneg(shared[1][1]):
             (left, _), (right, n) = sorted(shared, key=lambda s: next(x for x in s[1] if x))
-            walls.add((left, right, n, *facet))
+            walls.add((left, right, n))
         else:
             issues.append(f"facet of chambers {[i for i, _ in shared]}, normals "
                           f"{[n for _, n in shared]}, is neither a wall nor on the boundary")
-    issues += _unmatched([(w.left, w.right, w.normal, w.facet.generators, w.facet.lineality)
-                          for w in complex_.walls], walls, "wall")
-    issues += _unmatched([(b.chamber, b.normal, b.facet.generators, b.facet.lineality)
-                          for b in complex_.boundary_facets], boundary, "boundary facet")
+    issues += _unmatched([(w.left, w.right, w.normal) for w in complex_.walls], walls, "wall")
+    issues += _unmatched([(b.chamber, b.normal) for b in complex_.boundary_facets],
+                         boundary, "boundary facet")
     locs = [ch.cone.contains(chambers[0].representative) for ch in chambers]  # [] if none
     if locs.count("interior") != 1 or "boundary" in locs:
         issues.append(f"the first representative is interior to {locs.count('interior')} "

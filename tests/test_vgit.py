@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import cmp_to_key
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -39,7 +40,7 @@ from mdsgit.toric import (
 )
 from mdsgit.vgit import (
     Wall,
-    _facets,
+    _facet_point,
     _key_at,
     _neighbour_reader,
     chamber_of,
@@ -119,6 +120,17 @@ def test_representatives_are_interior():
         assert quotient_fan_data(cx.weights, ch.representative).interior == ch.key
 
 
+def _tight(cone, *normals):
+    """The cone's generators on which every given normal vanishes."""
+    return [g for g in cone.generators if all(dot(n, g) == 0 for n in normals)]
+
+
+def _face(cx, chamber, normal):
+    """A chamber's facet with the given inward normal, converted from its tight generators."""
+    return cone_from_generators(_tight(cx.chambers[chamber].cone, normal),
+                                ambient_dim=cx.weights.rho)
+
+
 def test_wall_orientation():
     for ws in (cox_weights(twice_blown_up_plane()), flop_weights()):
         cx = enumerate_chambers(ws)
@@ -126,9 +138,11 @@ def test_wall_orientation():
             left = cx.chambers[w.left].representative
             right = cx.chambers[w.right].representative
             assert dot(w.normal, right) > 0 > dot(w.normal, left)
-            mid = w.facet.relative_interior_point()
+            facet = _face(cx, w.right, w.normal)
+            assert facet == _face(cx, w.left, vneg(w.normal))
+            mid = facet.relative_interior_point()
             assert dot(w.normal, mid) == 0
-            assert w.facet.dim == cx.chambers[w.left].cone.dim - 1
+            assert facet.dim == cx.chambers[w.left].cone.dim - 1
 
 
 def test_boundary_facets_sit_on_ample_boundary():
@@ -136,7 +150,7 @@ def test_boundary_facets_sit_on_ample_boundary():
     for b in cx.boundary_facets:
         rep = cx.chambers[b.chamber].representative
         assert dot(b.normal, rep) > 0
-        mid = b.facet.relative_interior_point()
+        mid = _face(cx, b.chamber, b.normal).relative_interior_point()
         assert cx.g_ample.contains(mid) == "boundary"
 
 
@@ -243,7 +257,7 @@ def test_cover_verification_rejects_a_double_cover():
         left, right = (k - 1) % 5, k
         if next(x for x in n if x) < 0:
             left, right, n = right, left, vneg(n)
-        walls.append(Wall(left, right, n, cone_from_generators([r], ambient_dim=2)))
+        walls.append(Wall(left, right, n))
     report = verify_disjoint_cover(
         replace(cx, chambers=chambers, walls=tuple(walls), boundary_facets=()))
     assert report.issues == ("the first representative is interior to 2 chambers and on the "
@@ -342,8 +356,10 @@ def _subsets(key):
 def _assert_grouped(cx, oracle):
     """The complex's chambers, walls and boundary facets are the oracle's grouped cells."""
     cones = [ch.cone for ch in cx.chambers]
-    walls = [(cones[w.left], cones[w.right], w.normal, w.facet) for w in cx.walls]
-    boundary = [(cones[b.chamber], b.normal, b.facet) for b in cx.boundary_facets]
+    walls = [(cones[w.left], cones[w.right], w.normal, _face(cx, w.right, w.normal))
+             for w in cx.walls]
+    boundary = [(cones[b.chamber], b.normal, _face(cx, b.chamber, b.normal))
+                for b in cx.boundary_facets]
     assert {ch.cone: _subsets(ch.key) for ch in cx.chambers} == oracle.chambers
     assert len(cones) == len(oracle.chambers)
     assert len(walls) == len(oracle.walls) and set(walls) == oracle.walls
@@ -425,19 +441,6 @@ def test_chamber_of_reads_keys_anywhere_inside(cols):
                 assert loc.kind != "interior"
 
 
-def _facet_mismatches(cx):
-    """Walls and boundary facets unequal to the conversion of their chamber's tight generators."""
-    sides = [(w.right, w.normal, w.facet) for w in cx.walls]
-    sides += [(b.chamber, b.normal, b.facet) for b in cx.boundary_facets]
-    wrong = []
-    for i, n, facet in sides:
-        tight = [g for g in cx.chambers[i].cone.generators if dot(n, g) == 0]
-        converted = cone_from_generators(tight, ambient_dim=cx.weights.rho)
-        if facet != converted:
-            wrong.append((i, n, facet, converted))
-    return wrong
-
-
 def _neighbour_mismatches(cx):
     """Chamber facets where the normal index reads another key than the whole table."""
     table = cx.weights.simplicial_cones
@@ -457,15 +460,6 @@ def _neighbour_mismatches(cx):
 @settings(max_examples=60, deadline=None)
 @example(RANK3_COLUMNS)
 @example([(1,), (-1,), (2,)])
-@example([(-1,), (-2,)])
-@given(full_rank_columns())
-def test_facets_read_off_their_chamber_are_canonical(cols):
-    assert _facet_mismatches(enumerate_chambers(weight_system(cols))) == []
-
-
-@settings(max_examples=60, deadline=None)
-@example(RANK3_COLUMNS)
-@example([(1,), (-1,), (2,)])
 @given(full_rank_columns())
 def test_neighbour_keys_read_by_the_normal_index(cols):
     # the key re-read across a facet from the subsets with a parallel facet
@@ -473,17 +467,58 @@ def test_neighbour_keys_read_by_the_normal_index(cols):
     assert _neighbour_mismatches(enumerate_chambers(weight_system(cols))) == []
 
 
+def _location_mismatches(cx):
+    """Points of chamber faces that chamber_of places elsewhere than a scan of facet interiors.
+
+    Each wall's and boundary facet's point is the sum of its chamber's
+    generators tight on its normal; each chamber also gives the sum over
+    every pair of its normals.  The scan converts every wall and boundary
+    facet from those tight generators and tests containment; "face" is
+    where it finds no facet interior.
+    """
+    sides = [("wall", k, w.right, w.normal) for k, w in enumerate(cx.walls)]
+    sides += [("boundary", k, b.chamber, b.normal) for k, b in enumerate(cx.boundary_facets)]
+    faces = [(kind, k, _face(cx, i, n)) for kind, k, i, n in sides]
+    points = [(_facet_point(cx.chambers[i].cone, n), [(kind, k)]) for kind, k, i, n in sides]
+    for ch in cx.chambers:
+        for pair in combinations(ch.cone.inequalities, 2):
+            tight = _tight(ch.cone, *pair)
+            points.append((tuple(sum(g[i] for g in tight) for i in range(cx.weights.rho)), None))
+    wrong = []
+    for x, expected in points:
+        scan = [(kind, k) for kind, k, face in faces if face.contains(x) == "interior"]
+        loc = chamber_of(cx, x)
+        got = {"wall": [("wall", loc.wall)], "boundary": [("boundary", loc.boundary_facet)],
+               "face": []}.get(loc.kind, loc.kind)
+        if got != scan or expected not in (None, scan):
+            wrong.append((x, expected, scan, loc))
+    return wrong
+
+
+@settings(max_examples=60, deadline=None)
+@example(RANK3_COLUMNS)
+@example([(1,), (-1,), (2,)])
+@example([(-1,), (-2,)])
+@example([(1, 0), (0, 1), (-1, 0), (-1, -1)])
+@given(full_rank_columns())
+def test_chamber_of_finds_walls_and_boundary_facets(cols):
+    # each facet's tight-generator sum lies in that wall or boundary facet
+    # and in no other; a sum over two normals is located where the scan
+    # finds it, "face" when in no facet interior
+    assert _location_mismatches(enumerate_chambers(weight_system(cols))) == []
+
+
 def test_prism3_facets_and_neighbour_keys(prism3):
     cx = enumerate_chambers(cox_weights(prism3))
     assert (len(cx.chambers), len(cx.walls), len(cx.boundary_facets)) == (24, 36, 6)
-    assert _facet_mismatches(cx) == []
+    assert _location_mismatches(cx) == []
     assert _neighbour_mismatches(cx) == []
 
 
 def test_facets_refuse_a_chamber_with_lineality():
     half_plane = cone_from_inequalities([(1, 0)], ambient_dim=2)
     with pytest.raises(InvariantViolationError, match="lineality"):
-        _facets(half_plane)
+        _facet_point(half_plane, (1, 0))
 
 
 def _cross(u, v):

@@ -105,13 +105,30 @@ class FanValidation:
 def validate_fan(fan: Fan) -> FanValidation:
     """Check ray usage, simpliciality, maximality, and pairwise face intersections.
 
-    Simplicial cones a and b meet in the cone of their shared rays exactly
-    when a ∩ b has no lineality and its extreme rays are zero on the facets
-    of a through every shared ray, which cut out that face of a (Fulton,
-    *Introduction to Toric Varieties*, 1.2).
+    When every ray is in a cone, a facet certificate (De Loera-Rambau-Santos,
+    *Triangulations*, 2010, Ch. 4) is tried first: every maximal cone has
+    ambient_dim rays, each facet lies in exactly two cones whose left-out
+    rays are strictly on opposite sides of it, and the sum of the first
+    cone's rays lies in no other closed cone.  Then every cone is simplicial
+    and full-dimensional, and no two are nested.  Along a generic path the
+    number of cones holding the point changes only where the path crosses a
+    facet, and there it leaves one of the facet's two cones as it enters the
+    other, so the number is the same at every generic point.  Next to that
+    sum it is 1.  So the cones cover the space once and meet face to face,
+    the fan is valid and complete, and no cone is converted.
+
+    When the certificate fails (an incomplete fan, an unused ray, a bad
+    fan), the pairwise checks run as they would without it: ranks, nesting,
+    and, when neither these nor the ray check found an issue, whether each
+    pair of cones meets in the cone of their shared rays.  Simplicial cones
+    a and b do exactly when a ∩ b has no lineality and its extreme rays are
+    zero on the facets of a through every shared ray, which cut out that
+    face of a (Fulton, *Introduction to Toric Varieties*, 1.2).
     """
     in_cones = set().union(*fan.max_cones)
     issues = [f"ray {i} lies in no cone" for i in range(len(fan.rays)) if i not in in_cones]
+    if not issues and _facet_certificate(fan):
+        return FanValidation(True, ())
     for c in fan.max_cones:
         rows = [fan.rays[i] for i in c]
         if rank_of(rows) != len(c):
@@ -120,18 +137,50 @@ def validate_fan(fan: Fan) -> FanValidation:
         if set(a) <= set(b) or set(b) <= set(a):
             issues.append(f"cone {a} and cone {b} are nested; both listed as maximal")
     if not issues:
-        cones = {c: cone_from_generators([fan.rays[i] for i in c], ambient_dim=fan.ambient_dim)
-                 for c in fan.max_cones}
-        for a, b in combinations(fan.max_cones, 2):
-            shared = tuple(sorted(set(a) & set(b)))
-            lineality, rays = intersection_rays(cones[a], cones[b])
-            through = [h for h in cones[a].inequalities
-                       if not any(dot(h, fan.rays[i]) for i in shared)]
-            if lineality or any(dot(h, x) for h in through for x in rays):
-                issues.append(
-                    f"cones {a} and {b} do not meet along their common face {shared}"
-                )
+        issues = _pairwise_issues(fan)
     return FanValidation(not issues, tuple(issues))
+
+
+def _facet_certificate(fan: Fan) -> bool:
+    """Whether the maximal cones are full simplicial cones covering the space once.
+
+    Two cones holding a facet lie on opposite sides of it when one of them
+    has the facet's shared normal as its inward normal and the other its
+    negative.
+    """
+    d, rays, cones = fan.ambient_dim, fan.rays, fan.max_cones
+    if not cones or any(len(c) != d for c in cones):
+        return False
+    normal_of: dict[tuple[int, ...], IntVec] = {}
+    sides: dict[tuple[int, ...], list[bool]] = {}
+    inward = []
+    for c in cones:
+        normals = _inward_normals(rays, c, normal_of)
+        if normals is None:
+            return False
+        for p, n in enumerate(normals):
+            face = c[:p] + c[p + 1:]
+            sides.setdefault(face, []).append(n == normal_of[face])
+        inward.append(normals)
+    if any(len(s) != 2 or s[0] == s[1] for s in sides.values()):
+        return False
+    point = [sum(x) for x in zip(*(rays[i] for i in cones[0]))]
+    return not any(all(dot(n, point) >= 0 for n in normals) for normals in inward[1:])
+
+
+def _pairwise_issues(fan: Fan) -> list[str]:
+    """The pairs of simplicial cones that do not meet along their common face."""
+    cones = {c: cone_from_generators([fan.rays[i] for i in c], ambient_dim=fan.ambient_dim)
+             for c in fan.max_cones}
+    issues = []
+    for a, b in combinations(fan.max_cones, 2):
+        shared = tuple(sorted(set(a) & set(b)))
+        lineality, rays = intersection_rays(cones[a], cones[b])
+        through = [h for h in cones[a].inequalities
+                   if not any(dot(h, fan.rays[i]) for i in shared)]
+        if lineality or any(dot(h, x) for h in through for x in rays):
+            issues.append(f"cones {a} and {b} do not meet along their common face {shared}")
+    return issues
 
 
 def is_complete(fan: Fan) -> bool:
@@ -201,12 +250,8 @@ class WeightSystem:
         InputTooLargeError, before walking any subset, when
         C(r, rho) * rho^4 exceeds MAX_TABLE_WORK.
 
-        A facet normal depends only on the rho-1 columns spanning the
-        facet, so each (rho-1)-subset's primitive normal N is computed once
-        (linalg.primitive_normal) and shared by every subset holding it.
-        With v = N . column subset[p], the subset is singular when v = 0
-        (N is zero for dependent columns), and otherwise the inward normal
-        is N or -N as v is positive or negative.
+        Each (rho-1)-subset's primitive normal is computed once and shared
+        by every subset holding it (_inward_normals).
         """
         rho = self.rho
         subsets = comb(self.r, rho)
@@ -215,23 +260,37 @@ class WeightSystem:
                 f"{self.r} weight columns of rank {rho} have {subsets} column subsets "
                 f"to tabulate; at most {MAX_TABLE_WORK // rho**4} are accepted at rank {rho}"
             )
-        columns = self.columns
         normal_of: dict[tuple[int, ...], IntVec] = {}
         table = []
         for subset in combinations(range(self.r), rho):
-            normals = []
-            for p in range(rho):
-                face = subset[:p] + subset[p + 1:]
-                n = normal_of.get(face)
-                if n is None:
-                    n = normal_of[face] = primitive_normal([columns[j] for j in face])
-                v = dot(n, columns[subset[p]])
-                if v == 0:
-                    break
-                normals.append(n if v > 0 else vneg(n))
-            else:
-                table.append((subset, tuple(normals)))
+            normals = _inward_normals(self.columns, subset, normal_of)
+            if normals is not None:
+                table.append((subset, normals))
         return tuple(table)
+
+
+def _inward_normals(vectors, subset, normal_of) -> tuple[IntVec, ...] | None:
+    """Inward facet normals of the cone of vectors[subset], or None when they are dependent.
+
+    normals[p] is zero on the other vectors of the subset and positive on
+    vectors[subset[p]].  It depends only on the vectors spanning the facet,
+    so normal_of memoizes one primitive normal N per facet index tuple
+    (linalg.primitive_normal), shared by every subset holding it.  With
+    v = N . vectors[subset[p]], the vectors are dependent when v = 0 (N is
+    zero for dependent facet vectors), and otherwise the inward normal is
+    N or -N as v is positive or negative.
+    """
+    normals = []
+    for p in range(len(subset)):
+        face = subset[:p] + subset[p + 1:]
+        n = normal_of.get(face)
+        if n is None:
+            n = normal_of[face] = primitive_normal([vectors[j] for j in face])
+        v = dot(n, vectors[subset[p]])
+        if v == 0:
+            return None
+        normals.append(n if v > 0 else vneg(n))
+    return tuple(normals)
 
 
 def weight_system(columns, torsion=()) -> WeightSystem:

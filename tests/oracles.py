@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial, gcd, prod
 
 
@@ -532,6 +532,73 @@ def simplicial_collection(vectors, index_sets):
     rays = sorted(set().union(*maximal))
     index = {v: i for i, v in enumerate(rays)}
     return rays, sorted(tuple(sorted(index[v] for v in c)) for c in maximal)
+
+
+def facet_sides(rays, cones):
+    """For each facet (a cone less one ray), the sign of det(facet rays, left-out ray) per cone.
+
+    Two cones sharing a facet lie on opposite sides of it exactly when
+    their signs differ; a 0 means the cone's rays are dependent.
+    """
+    sides: dict[tuple[int, ...], list[int]] = {}
+    for c in cones:
+        for u in c:
+            face = tuple(i for i in c if i != u)
+            det = _det([rays[i] for i in face] + [rays[u]])
+            sides.setdefault(face, []).append((det > 0) - (det < 0))
+    return sides
+
+
+def projective_space_fan(d: int):
+    """Rays and maximal cones of P^d: e_1..e_d and -(e_1 + ... + e_d), any d of them."""
+    rays = [tuple(int(i == j) for j in range(d)) for i in range(d)] + [(-1,) * d]
+    return rays, list(combinations(range(d + 1), d))
+
+
+def lines_product_fan(k: int):
+    """Rays and maximal cones of (P^1)^k: rays 2i and 2i + 1 are e_i and -e_i."""
+    rays = [tuple(s * int(i == j) for j in range(k)) for i in range(k) for s in (1, -1)]
+    cones = [tuple(2 * i + b for i, b in enumerate(bits)) for bits in product((0, 1), repeat=k)]
+    return rays, cones
+
+
+def star_subdivision(rays, cones, face, weights):
+    """Star subdivision of a simplicial fan at a positive combination of a face's rays.
+
+    The new ray v is the primitive vector of sum weights[p] * rays[face[p]]
+    (weights positive), in the relative interior of the face.  Each cone
+    holding the face is replaced by one cone per ray u of the face, with u
+    swapped for v; the other cones stay.  Cones come back sorted.
+    """
+    dim = len(rays[0])
+    v = _reduce(tuple(sum(w * rays[i][k] for w, i in zip(weights, face)) for k in range(dim)))
+    new = len(rays)
+    out = []
+    for c in cones:
+        if set(face) <= set(c):
+            out += [tuple(sorted([j for j in c if j != u] + [new])) for u in face]
+        else:
+            out.append(tuple(c))
+    return rays + [v], sorted(out)
+
+
+def random_complete_fan(rng, steps: int):
+    """A complete simplicial fan: random star subdivisions of P^d (d = 2..4) or (P^1)^k (k = 2..3).
+
+    Each step picks a cone, a face of it with at least two rays and
+    weights 1..2 on them.  A star subdivision of a projective fan is
+    projective (Cox-Little-Schenck, *Toric Varieties*, 2011, Ch. 11), so
+    every fan drawn is complete and projective.
+    """
+    if rng.random() < 0.5:
+        rays, cones = projective_space_fan(rng.randint(2, 4))
+    else:
+        rays, cones = lines_product_fan(rng.randint(2, 3))
+    for _ in range(steps):
+        cone = rng.choice(cones)
+        face = tuple(sorted(rng.sample(cone, rng.randint(2, len(cone)))))
+        rays, cones = star_subdivision(rays, cones, face, [rng.randint(1, 2) for _ in face])
+    return rays, cones
 
 
 @dataclass(frozen=True)

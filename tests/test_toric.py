@@ -16,6 +16,7 @@ from conftest import (
     product_of_lines,
     projective_plane,
     twice_blown_up_plane,
+    twisted_prism,
     weighted_plane,
 )
 from mdsgit.errors import (
@@ -46,6 +47,9 @@ from mdsgit.toric import (
 from oracles import (
     cones_meet_in_common_face,
     cramer_coefficients,
+    facet_sides,
+    fraction_rank,
+    random_complete_fan,
     simplicial_collection,
     simplicial_table,
     spanned_hyperplanes,
@@ -152,6 +156,155 @@ def test_completeness(library_fan):
 def test_incomplete_fan():
     fan = make_fan([(1, 0), (0, 1)], [(0, 1)])
     assert validate_fan(fan).ok and not is_complete(fan)
+
+
+# rays winding twice around the origin, each cone (i, i + 1 mod 6) turning
+# less than a half turn counterclockwise: every facet (a ray) lies in two
+# cones on opposite sides of it, yet every generic point is covered twice
+DOUBLE_WINDING = [(1, 0), (-5, 3), (1, -2), (0, 1), (-1, -2), (5, -3)]
+WINDING_CONES = [(i, (i + 1) % 6) for i in range(6)]
+
+
+def _matched_facets(rays, cones) -> bool:
+    """Does every facet lie in exactly two cones on opposite sides (oracle determinants)?"""
+    return all(sorted(s) == [-1, 1] for s in facet_sides(rays, cones).values())
+
+
+def test_double_winding_is_caught_by_the_point_alone():
+    fan = make_fan(DOUBLE_WINDING, WINDING_CONES)
+    assert _matched_facets(fan.rays, fan.max_cones) and is_complete(fan)
+    assert validate_fan(fan) == FanValidation(False, (
+        "cones (0, 1) and (2, 3) do not meet along their common face ()",
+        "cones (0, 1) and (3, 4) do not meet along their common face ()",
+        "cones (0, 5) and (2, 3) do not meet along their common face ()",
+        "cones (1, 2) and (3, 4) do not meet along their common face ()",
+        "cones (1, 2) and (4, 5) do not meet along their common face ()",
+        "cones (2, 3) and (4, 5) do not meet along their common face ()",
+    ))
+    assert validate_fan(fan).issues == _meeting_issues(fan.rays, fan.max_cones)
+
+
+def test_winding_that_turns_back_fails_the_facet_match():
+    # (5, 3) in place of (5, -3): cones (0, 1) and (0, 5) both lie above ray 0
+    rays = DOUBLE_WINDING[:5] + [(5, 3)]
+    fan = make_fan(rays, WINDING_CONES)
+    assert facet_sides(fan.rays, fan.max_cones)[(0,)] == [1, 1]
+    report = validate_fan(fan)
+    assert len(report.issues) == 9 and report.issues == _meeting_issues(fan.rays, fan.max_cones)
+    assert report.issues[0] == "cones (0, 1) and (0, 5) do not meet along their common face (0,)"
+
+
+def test_winding_through_a_ray_is_caught_by_the_closed_point_test():
+    # the first cone's ray sum (1, 1) is ray 4, on the boundary of cones (3, 4) and (4, 5)
+    rays = [(1, 0), (0, 1), (-3, -1), (1, -2), (1, 1), (-5, 2), (1, -5)]
+    fan = make_fan(rays, [(i, (i + 1) % 7) for i in range(7)])
+    assert _matched_facets(fan.rays, fan.max_cones) and is_complete(fan)
+    report = validate_fan(fan)
+    assert len(report.issues) == 7 and report.issues == _meeting_issues(fan.rays, fan.max_cones)
+
+
+def test_folded_cycle_fails_the_facet_match():
+    # turns 720 degrees with two folds; the first cone's ray sum is covered once
+    rays = [(-3, -1), (1, -2), (5, 4), (-5, 4), (1, 2), (1, 0), (-1, 5)]
+    fan = make_fan(rays, [(i, (i + 1) % 7) for i in range(7)])
+    sides = facet_sides(fan.rays, fan.max_cones)
+    assert sides[(3,)] == [-1, -1] and sides[(5,)] == [1, 1] and is_complete(fan)
+    report = validate_fan(fan)
+    assert len(report.issues) == 9 and report.issues == _meeting_issues(fan.rays, fan.max_cones)
+
+
+def test_suspended_double_winding_is_caught_by_the_point_alone():
+    rays = [(x, y, 0) for x, y in DOUBLE_WINDING] + [(0, 0, 1), (0, 0, -1)]
+    cones = [c + (pole,) for c in WINDING_CONES for pole in (6, 7)]
+    fan = make_fan(rays, cones)
+    assert _matched_facets(fan.rays, fan.max_cones) and is_complete(fan)
+    report = validate_fan(fan)
+    assert len(report.issues) == 24 and report.issues == _meeting_issues(fan.rays, fan.max_cones)
+
+
+def test_fans_of_dimension_one_and_zero():
+    line = make_fan([(1,), (-1,)], [(0,), (1,)])
+    assert validate_fan(line) == FanValidation(True, ()) and toric._facet_certificate(line)
+    half_line = make_fan([(1,)], [(0,)])
+    assert validate_fan(half_line) == FanValidation(True, ())
+    assert not toric._facet_certificate(half_line) and not is_complete(half_line)
+    # r = rho: the quotient of a point by the full torus
+    point = quotient_fan_data(weight_system([(1, 0), (0, 1)]), (1, 1)).fan
+    assert point == toric.Fan(0, (), ((),))
+    assert validate_fan(point) == FanValidation(True, ()) and is_complete(point)
+    assert toric._facet_certificate(point)
+
+
+def test_complete_fan_with_an_unused_ray():
+    fan = make_fan([(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 1), (0, 2), (1, 2)])
+    assert validate_fan(fan) == FanValidation(False, ("ray 3 lies in no cone",))
+
+
+def test_dependent_cones():
+    # the four quadrants and the flat cone of e1 and -e1; and that flat cone alone
+    fan = make_fan([(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    assert validate_fan(fan) == FanValidation(False, ("cone (0, 2) is not simplicial: rays are dependent",))
+    fan = make_fan([(1, 0), (-1, 0)], [(0, 1)])
+    assert validate_fan(fan) == FanValidation(False, ("cone (0, 1) is not simplicial: rays are dependent",))
+
+
+def test_certificate_and_pairwise_path_agree_on_library_fans(library_fan):
+    assert toric._facet_certificate(library_fan)
+    assert toric._pairwise_issues(library_fan) == []
+
+
+def test_certificate_and_pairwise_path_agree_on_prism4_quotients():
+    from mdsgit.vgit import enumerate_chambers
+
+    cx = enumerate_chambers(cox_weights(twisted_prism(((1, 0), (0, 1), (-1, 0), (0, -1)))))
+    fans = [cx.quotient(i).fan for i in range(len(cx.chambers))]
+    assert len(fans) == 148
+    assert [i for i, fan in enumerate(fans) if not toric._facet_certificate(fan)] == []
+    assert [i for i, fan in enumerate(fans) if toric._pairwise_issues(fan)] == []
+
+
+def _mutant(rng, rays, cones, kind):
+    """rays and cones with one ray moved, one cone dropped or one cone added.
+
+    Kept only when every cone is simplicial and every ray is in a cone, so
+    that the only issues validate_fan may find are pairs that do not meet;
+    None when no such mutant turned up in a few tries.
+    """
+    dim = len(rays[0])
+    for _ in range(20):
+        new_rays, new_cones = list(rays), list(cones)
+        if kind == "move":
+            moved = tuple(rng.randint(-2, 2) for _ in range(dim))
+            if not any(moved):
+                continue
+            new_rays[rng.randrange(len(rays))] = moved
+        elif kind == "drop":
+            new_cones.pop(rng.randrange(len(cones)))
+        else:
+            new_cones.append(tuple(sorted(rng.sample(range(len(rays)), dim))))
+        if len(set(new_cones)) != len(new_cones) \
+                or set().union(*new_cones) != set(range(len(rays))) \
+                or any(fraction_rank([new_rays[i] for i in c]) < dim for c in new_cones):
+            continue
+        try:
+            return make_fan(new_rays, new_cones)
+        except InvalidFanError:  # the moved ray is parallel to another
+            continue
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 3),
+       st.sampled_from(["move", "drop", "add"]))
+def test_random_complete_fans_and_mutants(rng, steps, kind):
+    rays, cones = random_complete_fan(rng, steps)
+    fan = make_fan(rays, cones)
+    assert validate_fan(fan) == FanValidation(True, ())
+    assert is_complete(fan) and toric._facet_certificate(fan)
+    mutant = _mutant(rng, fan.rays, fan.max_cones, kind)
+    if mutant is not None:
+        expected = _meeting_issues(mutant.rays, mutant.max_cones)
+        assert validate_fan(mutant) == FanValidation(not expected, expected)
 
 
 def test_canonicalize_is_idempotent(library_fan):

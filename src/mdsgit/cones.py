@@ -16,6 +16,14 @@ pairs, pruned by a cardinality bound on common zero bits before the
 combinatorial test (Fukuda-Prodon, *Double description method revisited*,
 1996).  A conversion keeps the + side of each inequality's cut; a split
 keeps both sides of each crossed cell.
+
+A pointed, full-dimensional cone is canonical once its rays and facet
+normals are primitive and sorted.  So a conversion whose one pass ends
+with no lineality, no equation and no cut row tight on every ray reads
+the other side off the pass's masks (_facets_off_masks), and
+cut_by_inequalities cuts such a cone further from its own state with no
+pivot.  Every other conversion takes a second pass and projects off the
+lineality and equations (_assemble).
 """
 
 from __future__ import annotations
@@ -137,18 +145,13 @@ class _DDState:
         self.nbits += 1
 
 
-def _dd_vrep(dim, inequalities, equations) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
-    """Lineality basis and extreme rays of {x : equations = 0, inequalities >= 0}.
+def _dd_pass(dim, inequalities, equations) -> tuple[_DDState, list]:
+    """The state of {x : equations = 0, inequalities >= 0}, and its cut rows.
 
     The state starts as the whole space.  Each equation pivots on the
     lineality, or vanishes on it and so depends on earlier ones and is
     skipped; what lineality is left spans the equations' kernel, which
-    becomes the state's dim.  Each inequality h is then cut like a split
-    cell: nonzero on the lineality it pivots, as in _cut_lineality; >= 0 on
-    every ray it is redundant and skipped, as a split leaves an uncut cell
-    alone; otherwise the + child of _cut_rays is kept, which is the face
-    h = 0 when h is positive on no ray.  Kept rays stay in order and the
-    new rays follow them.
+    becomes the state's dim.  The inequalities are then cut (_cut_all).
     """
     st = _DDState(dim, list(identity_rows(dim)), [], [], 0)
     for e in equations:
@@ -156,15 +159,67 @@ def _dd_vrep(dim, inequalities, equations) -> tuple[tuple[IntVec, ...], tuple[In
         if any(lin_vals):
             st._insert_pivot(e, lin_vals, equation=True)
     st.dim = len(st.lin)
+    return _cut_all(st, inequalities)
+
+
+def _cut_all(st: _DDState, inequalities) -> tuple[_DDState, list]:
+    """Cut the state's cone by each inequality; the rows cut, in mask-bit order.
+
+    Each inequality h is cut like a split cell: nonzero on the lineality
+    it pivots, as in _cut_lineality; >= 0 on every ray it is redundant and
+    skipped, as a split leaves an uncut cell alone, and takes no mask bit;
+    otherwise the + child of _cut_rays is kept, which is the face h = 0
+    when h is positive on no ray.  Kept rays stay in order and the new
+    rays follow them.  The k-th returned row owns mask bit st.nbits + k of
+    the state passed in.
+    """
+    cut = []
     for h in inequalities:
         lin_vals = [sum(map(mul, h, l)) for l in st.lin]
         if any(lin_vals):
             st._insert_pivot(h, lin_vals)
+            cut.append(h)
             continue
         vals = [sum(map(mul, h, r)) for r in st.rays]
         if min(vals, default=0) < 0:
             st = _cut_rays(st, vals)[0]
+            cut.append(h)
+    return st, cut
+
+
+def _dd_vrep(dim, inequalities, equations) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+    """Lineality basis and extreme rays of {x : equations = 0, inequalities >= 0}."""
+    st = _dd_pass(dim, inequalities, equations)[0]
     return tuple(st.lin), tuple(st.rays)
+
+
+def _facets_off_masks(st: _DDState, rows) -> tuple[IntVec, ...] | None:
+    """Sorted primitive facet normals of a pointed, full-dimensional state, or None.
+
+    rows[k] owns mask bit k, and the state's dim is the ambient dimension
+    (no equations).  None when the state has lineality or a row is tight
+    on every ray: then the cone is not pointed or not full-dimensional.
+    Otherwise the facets are the rows whose tight ray sets are maximal
+    under inclusion.  Each facet normal is among the rows: a row skipped as
+    redundant is a nonnegative combination of earlier rows, and a facet
+    normal is an extreme ray of the dual cone, so one of those rows is a
+    positive multiple of it.  Each other row's tight rays span a proper
+    face, which lies in a facet with more rays.
+    """
+    if st.lin:
+        return None
+    masks = st.masks
+    by_tight: dict[int, IntVec] = {}
+    for k, h in enumerate(rows):
+        tight = sum(1 << i for i, m in enumerate(masks) if m >> k & 1)
+        by_tight.setdefault(tight, h)
+    if (1 << len(masks)) - 1 in by_tight:
+        return None
+    maximal: list[int] = []
+    for t in sorted(by_tight, key=int.bit_count, reverse=True):
+        if not any(t & u == t for u in maximal):
+            maximal.append(t)
+    return tuple(sorted({primitive(by_tight[t]) for t in maximal}))
 
 
 def _state_from_cone(cone: Cone) -> _DDState:
@@ -217,27 +272,66 @@ def _infer_dim(groups, ambient_dim):
 
 
 def cone_from_generators(generators, lineality=(), ambient_dim=None) -> Cone:
-    """Canonical cone pos(generators) + span(lineality)."""
+    """Canonical cone pos(generators) + span(lineality).
+
+    One double-description pass gives the facets as the extreme rays of
+    the dual cone.  When the cone is pointed and full-dimensional, its
+    extreme rays are the generators read off that pass's masks
+    (_facets_off_masks); otherwise a second pass rebuilds them from the
+    facets.
+    """
     dim = _infer_dim((generators, lineality), ambient_dim)
     _check_vectors(generators, dim)
     _check_vectors(lineality, dim)
     gens = [tuple(g) for g in generators if not is_zero(g)]
     lins = [tuple(l) for l in lineality if not is_zero(l)]
-    eq_rows, facet_normals = _dd_vrep(dim, gens, lins)
+    st, cut = _dd_pass(dim, gens, lins)
+    rays = None if lins else _facets_off_masks(st, cut)
+    if rays is not None:
+        return Cone(dim, rays, tuple(sorted(set(st.rays))), (), ())
+    eq_rows, facet_normals = tuple(st.lin), tuple(st.rays)
     lin_rows, rays = _dd_vrep(dim, facet_normals, eq_rows)
     return _assemble(dim, lin_rows, rays, eq_rows, facet_normals)
 
 
 def cone_from_inequalities(inequalities, equations=(), ambient_dim=None) -> Cone:
-    """Canonical cone {x : inequalities >= 0, equations = 0}."""
+    """Canonical cone {x : inequalities >= 0, equations = 0}.
+
+    One double-description pass gives the extreme rays.  When the cone is
+    pointed and full-dimensional, its facets are read off that pass's
+    masks (_facets_off_masks); otherwise a second pass rebuilds them from
+    the rays.
+    """
     dim = _infer_dim((inequalities, equations), ambient_dim)
     _check_vectors(inequalities, dim)
     _check_vectors(equations, dim)
     ineqs = [tuple(h) for h in inequalities if not is_zero(h)]
     eqs = [tuple(e) for e in equations if not is_zero(e)]
-    lin_rows, rays = _dd_vrep(dim, ineqs, eqs)
+    st, cut = _dd_pass(dim, ineqs, eqs)
+    facets = None if eqs else _facets_off_masks(st, cut)
+    if facets is not None:
+        return Cone(dim, tuple(sorted(set(st.rays))), facets, (), ())
+    lin_rows, rays = tuple(st.lin), tuple(st.rays)
     eq_rows, facet_normals = _dd_vrep(dim, rays, lin_rows)
     return _assemble(dim, lin_rows, rays, eq_rows, facet_normals)
+
+
+def cut_by_inequalities(cone: Cone, inequalities) -> Cone:
+    """Canonical cone {x in cone : inequalities >= 0} of a pointed, full-dimensional cone.
+
+    The cut starts from the cone's own rays and facets, with no pivot,
+    and reads the facets off its masks (_facets_off_masks).  Raises
+    InvariantViolationError when the cone has lineality or equations, or
+    when the result is not full-dimensional.
+    """
+    if cone.lineality or cone.equations:
+        raise InvariantViolationError("cutting requires a pointed, full-dimensional cone")
+    _check_vectors(inequalities, cone.ambient_dim)
+    st, cut = _cut_all(_state_from_cone(cone), [tuple(h) for h in inequalities])
+    facets = _facets_off_masks(st, cone.inequalities + tuple(cut))
+    if facets is None:
+        raise InvariantViolationError("the cut cone is not full-dimensional")
+    return Cone(cone.ambient_dim, tuple(sorted(set(st.rays))), facets, (), ())
 
 
 def full_space(dim: int) -> Cone:

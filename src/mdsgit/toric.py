@@ -186,9 +186,12 @@ def _pairwise_issues(fan: Fan) -> list[str]:
 def is_complete(fan: Fan) -> bool:
     """Whether the fan's support is the whole space.
 
-    Valid for simplicial fans: complete iff every maximal cone is
-    full-dimensional and every facet (drop one ray) is shared by exactly
-    two maximal cones.
+    Counts facets: True when every maximal cone is full-dimensional and
+    every facet (drop one ray) is shared by exactly two maximal cones.
+    The answer is exact only for a simplicial fan that validate_fan has
+    accepted, whose cones meet face to face.  On a fan that covers the
+    space more than once it can be wrong: it returns True on a double
+    winding of the plane, six cones around the origin twice.
     """
     d = fan.ambient_dim
     if d == 0:

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .cones import Cone, cone_from_inequalities
+from .cones import Cone, cut_by_inequalities
 from .errors import (DegenerateLinearizationError, EmptySemistableLocusError,
                      InvariantViolationError)
-from .linalg import IntVec, dot, vneg
+from .linalg import IntVec, dot, primitive, vneg
 from .toric import (
     QuotientData,
     WeightSystem,
@@ -164,24 +164,26 @@ def _neighbour_reader(table):
     closed cone holds the chamber and has p, a relative-interior point of
     the facet, on its boundary has the facet's hyperplane as a facet, and
     so a facet normal parallel to n; every other subset keeps its
-    membership.  So the table is indexed by sign-normalized facet normal,
-    and only the subsets under +-n are re-read.  Empty exactly when p - e n
-    is outside the semistable cone.
+    membership.  So the table is indexed by inward facet normal.  The
+    subsets holding +n leave, since n.(p - e n) < 0, and only those holding
+    -n, none of which can hold the chamber, are re-read.  Empty exactly
+    when p - e n is outside the semistable cone.
     """
     position = {}
-    parallel: dict[IntVec, tuple[list, set]] = {}  # normal -> its subsets and their masks
+    holding: dict[IntVec, tuple[list, set]] = {}  # normal -> its subsets and their masks
     for entry in table:
         mask = sum(1 << j for j in entry[0])
         position[mask] = len(position)
         for h in entry[1]:
-            sub, masks = parallel.setdefault(_up(h), ([], set()))
+            sub, masks = holding.setdefault(h, ([], set()))
             sub.append(entry)
             masks.add(mask)
 
     def across(key, p, n) -> tuple[int, ...]:
-        sub, changing = parallel[_up(n)]
-        kept = [m for m in key if m not in changing]
-        return tuple(sorted(kept + list(_key_at(sub, [p, vneg(n)])), key=position.__getitem__))
+        leaving = holding[n][1]
+        kept = [m for m in key if m not in leaving]
+        entering = _key_at(holding[vneg(n)][0], [p, vneg(n)]) if vneg(n) in holding else ()
+        return tuple(sorted(kept + list(entering), key=position.__getitem__))
 
     return across
 
@@ -190,17 +192,19 @@ def enumerate_chambers(ws: WeightSystem) -> ChamberComplex:
     """Enumerate all GIT chambers, walls, and boundary facets of a weight system.
 
     Walks from key to key, starting at the sum of all columns.  Each
-    chamber is converted once, by cone_from_inequalities over its key's
-    facet normals, and nothing else is converted.  Across each chamber
-    normal n the key at p - e n, for p the sum of the generators tight on
-    n (_facet_point), re-reads only the subsets with a facet normal
-    parallel to n (_neighbour_reader).  It is empty on the boundary of the
+    chamber is converted once, in one double-description pass: the
+    simplicial cone of its key's first subset, canonical as the table
+    gives it, is cut by the other subsets' facet normals
+    (cut_by_inequalities), and nothing else is converted.  Across each
+    chamber normal n the key at p - e n, for p the sum of the generators
+    tight on n (_facet_point), re-reads only the subsets with facet
+    normal -n (_neighbour_reader).  It is empty on the boundary of the
     semistable cone and names the neighbour otherwise, which must reach
     back.  A wall is listed once, from the side its sign-normalized normal
     points into.
     """
     table = _full_rank_table(ws)
-    normals_of = {sum(1 << j for j in subset): normals for subset, normals in table}
+    entry_of = {sum(1 << j for j in subset): (subset, normals) for subset, normals in table}
     across = _neighbour_reader(table)
     found: dict[tuple[int, ...], tuple] = {}
     todo = [_key_at(table, [tuple(map(sum, zip(*ws.columns)))])]
@@ -208,8 +212,11 @@ def enumerate_chambers(ws: WeightSystem) -> ChamberComplex:
         key = todo.pop()
         if key in found:
             continue
-        cone = cone_from_inequalities(
-            sorted({h for m in key for h in normals_of[m]}), ambient_dim=ws.rho)
+        subset, normals = entry_of[key[0]]
+        seed = Cone(ws.rho, tuple(sorted(primitive(ws.columns[j]) for j in subset)),
+                    tuple(sorted(normals)), (), ())
+        rest = {h for m in key[1:] for h in entry_of[m][1]}.difference(normals)
+        cone = cut_by_inequalities(seed, sorted(rest))
         sides = []
         for n in cone.inequalities:
             other = across(key, _facet_point(cone, n), n)

@@ -142,15 +142,18 @@ def _solve_nullvector(rows, dim: int):
 def brute_force_facets(generators, dim: int):
     """Facet normals of a full-dimensional pointed cone, by subset enumeration.
 
-    Tries every (dim-1)-subset of generators, keeps the normals that put all
-    generators weakly on one side with at least dim-1 touching.
+    Tries every (dim-1)-subset of generators of rank dim - 1, and keeps
+    its normal when it puts all generators weakly on one side and not all
+    on the hyperplane.  A subset of lower rank is skipped: from dimension 5
+    on, dim - 1 extreme rays can lie in a face of dimension below dim - 1,
+    and a null vector of theirs need not span a facet.
     """
     gens = [tuple(g) for g in generators]
     normals = set()
     for sub in combinations(gens, dim - 1):
-        normal = _solve_nullvector(list(sub), dim)
-        if normal is None:
+        if fraction_rank(sub) != dim - 1:
             continue
+        normal = _solve_nullvector(list(sub), dim)
         dots = [sum(a * b for a, b in zip(normal, g)) for g in gens]
         if all(d >= 0 for d in dots):
             pass

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import twisted_prism
 from mdsgit.cones import (
     adjacent_pairs,
     cone_from_generators,
     cone_from_inequalities,
+    cut_by_inequalities,
     dual,
     full_space,
     intersect,
@@ -20,6 +25,8 @@ from mdsgit.cones import (
 )
 from mdsgit.errors import InvariantViolationError
 from mdsgit.linalg import dot, vneg
+from mdsgit.toric import cox_weights, make_fan, weight_system
+from mdsgit.vgit import enumerate_chambers
 from oracles import (
     brute_force_facets,
     brute_force_rays,
@@ -133,6 +140,116 @@ def test_conversion_with_implicit_equalities_against_bruteforce(system):
     assert len(c.lineality) == dim - fraction_rank(rows)
     if not c.lineality:
         assert list(c.generators) == brute_force_rays(rows, dim)
+
+
+@st.composite
+def conversion_systems(draw):
+    """Rows with redundant, duplicate, non-primitive and opposite rows, plus equations.
+
+    The opposite rows are implicit equations of the inequalities and
+    lineality of the generators, and the equations are lineality of the
+    generators, so both conversions also take their two-pass route.
+    """
+    dim = draw(st.integers(min_value=2, max_value=4))
+    vec = st.tuples(*[st.integers(min_value=-2, max_value=2)] * dim).filter(any)
+    rows = draw(st.lists(vec, min_size=1, max_size=6))
+    picked = st.lists(st.sampled_from(rows), max_size=2)
+    rows += [tuple(map(sum, zip(a, b))) for a, b in zip(draw(picked), draw(picked))]
+    rows += draw(picked)  # duplicates
+    rows += [tuple(3 * x for x in h) for h in draw(picked)]  # non-primitive
+    rows += [vneg(h) for h in draw(st.lists(st.sampled_from(rows), max_size=1))]
+    rows = [h for h in draw(st.permutations(rows)) if any(h)]
+    return dim, rows, draw(st.lists(vec, max_size=1))
+
+
+@settings(max_examples=200, deadline=None)
+@example((3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)], []))
+@example((2, [(1, 0), (0, 1), (1, 1), (2, 0), (1, 0)], []))
+@given(conversion_systems())
+def test_one_pass_conversions_against_bruteforce(system):
+    # a pointed, full-dimensional cone reads its facets, or its dual its
+    # rays, off one pass's masks; everything else takes two passes
+    dim, rows, eqs = system
+    c = cone_from_inequalities(rows, eqs, ambient_dim=dim)
+    g = cone_from_generators(rows, eqs, ambient_dim=dim)
+    assert g == dual(c)
+    for cone in (c, g):
+        assert cone.dim == fraction_rank(list(cone.generators) + list(cone.lineality))
+    if not c.lineality:
+        assert list(c.generators) == brute_force_rays(rows + eqs + [vneg(e) for e in eqs], dim)
+    if c.is_full_dim and not c.lineality:
+        assert list(c.inequalities) == brute_force_facets(c.generators, dim)
+    if g.is_full_dim and not g.lineality:
+        # the facets of pos(rows) are the rays of its dual cone
+        assert list(g.inequalities) == brute_force_rays(rows, dim)
+        assert list(g.generators) == brute_force_rays(g.inequalities, dim)
+
+
+@st.composite
+def cut_systems(draw):
+    """A pointed, full-dimensional cone and more rows to cut it by."""
+    dim, rows, _ = draw(conversion_systems())
+    seed = cone_from_generators(rows, ambient_dim=dim)
+    assume(seed.is_full_dim and not seed.lineality)
+    vec = st.tuples(*[st.integers(min_value=-2, max_value=2)] * dim)
+    more = draw(st.lists(vec, min_size=1, max_size=5))
+    more += [vneg(h) for h in draw(st.lists(st.sampled_from(more), max_size=1))]
+    return seed, more
+
+
+def _check_cut(seed, more):
+    """The cut of seed by more is the conversion of all the rows, or raises if that is lower-dimensional."""
+    whole = cone_from_inequalities(seed.inequalities + tuple(more), ambient_dim=seed.ambient_dim)
+    if not whole.is_full_dim:
+        with pytest.raises(InvariantViolationError, match="not full-dimensional"):
+            cut_by_inequalities(seed, more)
+        return whole
+    cut = cut_by_inequalities(seed, more)
+    assert cut == whole
+    return cut
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut_systems())
+def test_cut_equals_the_conversion_of_all_rows(system):
+    _check_cut(*system)
+
+
+def _corpus_weight_systems():
+    corpus = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+    systems = []
+    for path in sorted(corpus.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if "fan" in doc:
+            fan = doc["fan"]
+            systems.append(cox_weights(make_fan(fan["rays"], fan["cones"])))
+        elif "weights" in doc:
+            systems.append(weight_system(doc["weights"]["columns"]))
+    return systems
+
+
+def test_cut_gives_every_chamber_of_the_corpus_and_the_prism():
+    # each chamber is its first key subset's simplicial cone cut by the
+    # facet normals of the other subsets, as vgit builds it
+    systems = _corpus_weight_systems() + [cox_weights(twisted_prism())]
+    assert len(systems) == 14
+    chambers = 0
+    for ws in systems:
+        entry_of = {sum(1 << j for j in subset): (subset, normals)
+                    for subset, normals in ws.simplicial_cones}
+        for ch in enumerate_chambers(ws).chambers:
+            subset, _ = entry_of[ch.key[0]]
+            seed = cone_from_generators([ws.columns[j] for j in subset], ambient_dim=ws.rho)
+            rest = [h for m in ch.key[1:] for h in entry_of[m][1]]
+            assert _check_cut(seed, rest) == ch.cone
+            chambers += 1
+    assert chambers == 79 + 24
+
+
+def test_cut_refuses_a_cone_that_is_not_pointed_and_full_dimensional():
+    for cone in (cone_from_inequalities([(1, 0)]), cone_from_generators([(1, 0)])):
+        with pytest.raises(InvariantViolationError, match="pointed, full-dimensional"):
+            cut_by_inequalities(cone, [(0, 1)])
 
 
 def test_conversion_keeps_the_face_of_an_opposite_pair():

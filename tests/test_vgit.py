@@ -20,6 +20,7 @@ from conftest import (
     product_of_lines,
     projective_plane,
     twice_blown_up_plane,
+    twisted_prism,
     weighted_plane,
 )
 from mdsgit.errors import (
@@ -512,6 +513,14 @@ def test_prism3_facets_and_neighbour_keys(prism3):
     cx = enumerate_chambers(cox_weights(prism3))
     assert (len(cx.chambers), len(cx.walls), len(cx.boundary_facets)) == (24, 36, 6)
     assert _location_mismatches(cx) == []
+    assert _neighbour_mismatches(cx) == []
+
+
+def test_prism4_neighbour_keys():
+    # across each facet of the 148 chambers, keeping the key's subsets
+    # without +n and re-reading those with -n gives the whole table's key
+    cx = enumerate_chambers(cox_weights(twisted_prism(((1, 0), (0, 1), (-1, 0), (0, -1)))))
+    assert (len(cx.chambers), len(cx.walls), len(cx.boundary_facets)) == (148, 368, 74)
     assert _neighbour_mismatches(cx) == []
 
 

@@ -46,7 +46,6 @@ from .mori import (
     factor_contraction,
     moving_cone,
     nef_chamber,
-    picard_number,
 )
 from .npoints import MAX_N, build_config, verify_rho_formula
 from .toric import (
@@ -254,7 +253,7 @@ def cmd_nef(args) -> int:
     fan = _require_fan(doc.fan)
     cx = enumerate_chambers(doc.weights)
     ch = nef_chamber(cx, fan)
-    rho_q = picard_number(cx.quotient(ch.id).fan)
+    rho_q = cx.quotient(ch.id).picard_number
     payload = {
         "chamber_id": ch.id,
         "generators": [list(g) for g in ch.cone.generators],
@@ -311,7 +310,7 @@ def cmd_quotient(args) -> int:
     ws = doc.weights
     chi = _parse_character(args.chi, ws.rho)
     data = quotient_fan_data(ws, chi)
-    rho_q = picard_number(data.fan)
+    rho_q = data.picard_number
     report = _unstable_report(ws.r, data.interior)
     payload = {
         "chi": list(chi),

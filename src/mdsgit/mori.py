@@ -17,15 +17,8 @@ from fractions import Fraction
 from .cones import Cone, cone_from_generators, intersect, minkowski_sum
 from .errors import DegenerateLinearizationError, InvariantViolationError
 from .linalg import IntVec, dot, primitive, vneg
-from .toric import Fan, _check_chi, canonicalize_fan, gale_dual, is_complete
+from .toric import Fan, _check_chi, canonicalize_fan, gale_dual
 from .vgit import Chamber, ChamberComplex, Wall, _facet_point, chamber_of
-
-
-def picard_number(fan: Fan) -> int | None:
-    """rays - dim for a complete fan; None when the fan is not complete."""
-    if not is_complete(fan):
-        return None
-    return len(fan.rays) - fan.ambient_dim
 
 
 @dataclass(frozen=True)
@@ -155,7 +148,7 @@ def mori_chamber_data(complex_: ChamberComplex, chamber_id: int) -> MoriChamberD
         quotient=qd.fan,
         used_columns=qd.used_columns,
         dropped_columns=qd.dropped_columns,
-        picard_number=picard_number(qd.fan),
+        picard_number=qd.picard_number,
         pulled_back_nef=pulled,
         in_moving_cone=chamber_id in mov.chamber_ids,
     )

@@ -98,8 +98,16 @@ def make_fan(rays, max_cones, ambient_dim: int | None = None) -> Fan:
 
 @dataclass(frozen=True)
 class FanValidation:
+    """Whether a fan is valid, what is wrong with it, and whether it is complete.
+
+    complete is True exactly when the facet certificate passed.  For a fan
+    that validate_fan accepts, that is exact: a complete simplicial fan
+    meets every condition of the certificate.
+    """
+
     ok: bool
     issues: tuple[str, ...]
+    complete: bool
 
 
 def validate_fan(fan: Fan) -> FanValidation:
@@ -118,17 +126,18 @@ def validate_fan(fan: Fan) -> FanValidation:
     the fan is valid and complete, and no cone is converted.
 
     When the certificate fails (an incomplete fan, an unused ray, a bad
-    fan), the pairwise checks run as they would without it: ranks, nesting,
-    and, when neither these nor the ray check found an issue, whether each
-    pair of cones meets in the cone of their shared rays.  Simplicial cones
-    a and b do exactly when a ∩ b has no lineality and its extreme rays are
-    zero on the facets of a through every shared ray, which cut out that
-    face of a (Fulton, *Introduction to Toric Varieties*, 1.2).
+    fan), complete is False and the pairwise checks run as they would
+    without it: ranks, nesting, and, when neither these nor the ray check
+    found an issue, whether each pair of cones meets in the cone of their
+    shared rays.  Simplicial cones a and b do exactly when a ∩ b has no
+    lineality and its extreme rays are zero on the facets of a through
+    every shared ray, which cut out that face of a (Fulton, *Introduction
+    to Toric Varieties*, 1.2).
     """
     in_cones = set().union(*fan.max_cones)
     issues = [f"ray {i} lies in no cone" for i in range(len(fan.rays)) if i not in in_cones]
     if not issues and _facet_certificate(fan):
-        return FanValidation(True, ())
+        return FanValidation(True, (), True)
     for c in fan.max_cones:
         rows = [fan.rays[i] for i in c]
         if rank_of(rows) != len(c):
@@ -138,7 +147,7 @@ def validate_fan(fan: Fan) -> FanValidation:
             issues.append(f"cone {a} and cone {b} are nested; both listed as maximal")
     if not issues:
         issues = _pairwise_issues(fan)
-    return FanValidation(not issues, tuple(issues))
+    return FanValidation(not issues, tuple(issues), False)
 
 
 def _facet_certificate(fan: Fan) -> bool:
@@ -181,31 +190,6 @@ def _pairwise_issues(fan: Fan) -> list[str]:
         if lineality or any(dot(h, x) for h in through for x in rays):
             issues.append(f"cones {a} and {b} do not meet along their common face {shared}")
     return issues
-
-
-def is_complete(fan: Fan) -> bool:
-    """Whether the fan's support is the whole space.
-
-    Counts facets: True when every maximal cone is full-dimensional and
-    every facet (drop one ray) is shared by exactly two maximal cones.
-    The answer is exact only for a simplicial fan that validate_fan has
-    accepted, whose cones meet face to face.  On a fan that covers the
-    space more than once it can be wrong: it returns True on a double
-    winding of the plane, six cones around the origin twice.
-    """
-    d = fan.ambient_dim
-    if d == 0:
-        return True
-    if not fan.max_cones:
-        return False
-    facet_count: dict[tuple[int, ...], int] = {}
-    for c in fan.max_cones:
-        if len(c) != d or rank_of([fan.rays[i] for i in c]) != d:
-            return False
-        for drop in c:
-            f = tuple(i for i in c if i != drop)
-            facet_count[f] = facet_count.get(f, 0) + 1
-    return all(v == 2 for v in facet_count.values())
 
 
 def canonicalize_fan(fan: Fan) -> Fan:
@@ -380,13 +364,16 @@ class QuotientData:
 
     interior holds the column bitmasks of the table subsets whose open
     cone holds the character (see _interior_masks); the maximal cones are
-    their complements.
+    their complements.  picard_number is rays - dim, len(used_columns) -
+    (r - rho), when the fan is complete (FanValidation.complete), and None
+    otherwise.
     """
 
     fan: Fan
     used_columns: tuple[int, ...]
     dropped_columns: tuple[int, ...]
     interior: tuple[int, ...]
+    picard_number: int | None
 
 
 def _full_rank_table(ws: WeightSystem):
@@ -461,7 +448,8 @@ def quotient_fan_data(ws: WeightSystem, chi) -> QuotientData:
             "quotient fan failed validation: " + "; ".join(report.issues)
         )
     dropped = tuple(i for i in range(ws.r) if i not in position)
-    return QuotientData(fan, used, dropped, interior)
+    picard = len(used) - (ws.r - ws.rho) if report.complete else None
+    return QuotientData(fan, used, dropped, interior, picard)
 
 
 @dataclass(frozen=True)

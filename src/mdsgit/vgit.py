@@ -116,18 +116,6 @@ def _key_at(table, rows) -> tuple[int, ...]:
                         for h in normals))
 
 
-def _representative(ws: WeightSystem, cone: Cone, key) -> IntVec:
-    """The sum of the chamber's generators, an integer point inside it.
-
-    Raises InvariantViolationError unless the key read there is the
-    chamber's.
-    """
-    p = cone.relative_interior_point()
-    if _interior_masks(ws, p) != key:
-        raise InvariantViolationError(f"representative {p} reads another key than its chamber")
-    return p
-
-
 def _up(n) -> IntVec:
     """n or -n, whichever has its first nonzero entry positive."""
     return n if next(x for x in n if x) > 0 else vneg(n)
@@ -231,7 +219,7 @@ def enumerate_chambers(ws: WeightSystem) -> ChamberComplex:
     crossed = {(key, other, n) for key in order for n, other in found[key][1]}
     for i, key in enumerate(order):
         cone, sides = found[key]
-        chambers.append(Chamber(i, cone, _representative(ws, cone, key), key))
+        chambers.append(Chamber(i, cone, cone.relative_interior_point(), key))
         for n, other in sides:
             if not other:
                 boundary.append(BoundaryFacet(i, n))

@@ -27,7 +27,7 @@ from conftest import (
     weighted_plane,
 )
 from mdsgit.cones import cone_from_generators, intersect, minkowski_sum
-from mdsgit.mori import classify_wall, mori_chamber_data, moving_cone, nef_chamber, picard_number
+from mdsgit.mori import classify_wall, mori_chamber_data, moving_cone, nef_chamber
 from mdsgit.npoints import (
     build_config,
     crossing_delta,
@@ -127,10 +127,9 @@ def test_acceptance_3_wall_crossing_invariants(all_complexes, capsys):
     failures = []
     for name, cx in all_complexes:
         for w in cx.walls:
-            left = cx.quotient(w.left).fan
-            right = cx.quotient(w.right).fan
-            rays_l, rays_r = set(left.rays), set(right.rays)
-            rho_l, rho_r = picard_number(left), picard_number(right)
+            left, right = cx.quotient(w.left), cx.quotient(w.right)
+            rays_l, rays_r = set(left.fan.rays), set(right.fan.rays)
+            rho_l, rho_r = left.picard_number, right.picard_number
             kind = classify_wall(cx, w).kind
             tag = f"{name} wall {w.left}|{w.right}"
             if kind == "small":

@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import twisted_prism
@@ -187,11 +187,19 @@ def test_one_pass_conversions_against_bruteforce(system):
 
 @st.composite
 def cut_systems(draw):
-    """A pointed, full-dimensional cone and more rows to cut it by."""
+    """A pointed, full-dimensional cone and more rows to cut it by.
+
+    The cone is spanned by the drawn rows, each turned to the positive side
+    of a drawn vector v, and by e_i + 2v for each i.  Every generator is
+    positive on v, so the cone is pointed, and the e_i + 2v are independent
+    (their determinant is 1 + 2 sum(v), odd), so it is full-dimensional.
+    """
     dim, rows, _ = draw(conversion_systems())
-    seed = cone_from_generators(rows, ambient_dim=dim)
-    assume(seed.is_full_dim and not seed.lineality)
     vec = st.tuples(*[st.integers(min_value=-2, max_value=2)] * dim)
+    v = draw(vec.filter(any))
+    rows = [h if dot(h, v) > 0 else vneg(h) for h in rows if dot(h, v)]
+    rows += [tuple(int(i == j) + 2 * x for j, x in enumerate(v)) for i in range(dim)]
+    seed = cone_from_generators(rows, ambient_dim=dim)
     more = draw(st.lists(vec, min_size=1, max_size=5))
     more += [vneg(h) for h in draw(st.lists(st.sampled_from(more), max_size=1))]
     return seed, more

@@ -35,10 +35,9 @@ from mdsgit.mori import (
     mori_chamber_data,
     moving_cone,
     nef_chamber,
-    picard_number,
 )
 from mdsgit.linalg import identity_rows
-from mdsgit.toric import cox_weights, g_ample_cone, make_fan, quotient_fan_data, weight_system
+from mdsgit.toric import cox_weights, g_ample_cone, quotient_fan_data, weight_system
 from mdsgit.vgit import chamber_of, enumerate_chambers
 from oracles import crossing_issues, quotient_cones, table_keys
 
@@ -67,10 +66,12 @@ def test_effective_cone_is_column_hull():
 
 
 def test_picard_number():
-    assert picard_number(projective_plane()) == 1
-    assert picard_number(twice_blown_up_plane()) == 3
-    incomplete = make_fan([(1, 0), (0, 1)], [(0, 1)])
-    assert picard_number(incomplete) is None
+    # rays - dim at the nef chamber of a complete fan; None for the flop's incomplete quotients
+    for fan, rho in ((projective_plane(), 1), (twice_blown_up_plane(), 3)):
+        cx = enumerate_chambers(cox_weights(fan))
+        assert cx.quotient(nef_chamber(cx, fan).id).picard_number == rho
+    cx = enumerate_chambers(flop_weights())
+    assert [cx.quotient(ch.id).picard_number for ch in cx.chambers] == [None, None]
 
 
 def test_moving_cone_frozen():
@@ -109,7 +110,7 @@ def test_nef_chamber(complete_fan):
     ch = nef_chamber(cx, complete_fan)
     data = mori_chamber_data(cx, ch.id)
     assert data.dropped_columns == ()
-    assert data.picard_number == picard_number(complete_fan)
+    assert data.picard_number == len(complete_fan.rays) - complete_fan.ambient_dim
     assert data.in_moving_cone
 
 

@@ -36,7 +36,6 @@ from mdsgit.toric import (
     cox_weights,
     g_ample_cone,
     gale_dual,
-    is_complete,
     make_fan,
     quotient_fan_data,
     unstable_locus,
@@ -97,7 +96,7 @@ def test_validate_fan_catches_overlap():
     # two 2d cones overlapping in a 2d region, not a common face
     fan = make_fan([(1, 0), (0, 1), (1, 1), (-1, 2)], [(0, 1), (2, 3)])
     assert validate_fan(fan) == FanValidation(
-        False, ("cones (0, 1) and (2, 3) do not meet along their common face ()",))
+        False, ("cones (0, 1) and (2, 3) do not meet along their common face ()",), False)
 
 
 def test_validate_fan_catches_meeting_in_part_of_a_facet():
@@ -106,7 +105,7 @@ def test_validate_fan_catches_meeting_in_part_of_a_facet():
     fan = make_fan([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 0, -1)],
                    [(0, 1, 2), (1, 3, 4)])
     assert validate_fan(fan) == FanValidation(
-        False, ("cones (0, 1, 2) and (1, 3, 4) do not meet along their common face (1,)",))
+        False, ("cones (0, 1, 2) and (1, 3, 4) do not meet along their common face (1,)",), False)
     assert not cones_meet_in_common_face(fan.rays, (0, 1, 2), (1, 3, 4))
 
 
@@ -136,8 +135,10 @@ def simplicial_collections(draw):
 def test_validate_fan_against_oracle(collection):
     assume(collection is not None)
     rays, cones = collection
+    fan = make_fan(rays, cones)
     expected = _meeting_issues(rays, cones)
-    assert validate_fan(make_fan(rays, cones)) == FanValidation(not expected, expected)
+    complete = not expected and _covers_the_space(fan)
+    assert validate_fan(fan) == FanValidation(not expected, expected, complete)
 
 
 def test_validate_fan_catches_non_simplicial():
@@ -150,12 +151,12 @@ def test_library_fans_are_valid(library_fan):
 
 
 def test_completeness(library_fan):
-    assert is_complete(library_fan)
+    assert validate_fan(library_fan).complete
 
 
 def test_incomplete_fan():
     fan = make_fan([(1, 0), (0, 1)], [(0, 1)])
-    assert validate_fan(fan).ok and not is_complete(fan)
+    assert validate_fan(fan) == FanValidation(True, (), False)
 
 
 # rays winding twice around the origin, each cone (i, i + 1 mod 6) turning
@@ -170,9 +171,16 @@ def _matched_facets(rays, cones) -> bool:
     return all(sorted(s) == [-1, 1] for s in facet_sides(rays, cones).values())
 
 
+def _covers_the_space(fan) -> bool:
+    """Is a fan whose cones meet face to face complete: full simplicial cones, facets matched?"""
+    cones = fan.max_cones
+    return bool(cones) and all(len(c) == fan.ambient_dim for c in cones) \
+        and _matched_facets(fan.rays, cones)
+
+
 def test_double_winding_is_caught_by_the_point_alone():
     fan = make_fan(DOUBLE_WINDING, WINDING_CONES)
-    assert _matched_facets(fan.rays, fan.max_cones) and is_complete(fan)
+    assert _matched_facets(fan.rays, fan.max_cones)
     assert validate_fan(fan) == FanValidation(False, (
         "cones (0, 1) and (2, 3) do not meet along their common face ()",
         "cones (0, 1) and (3, 4) do not meet along their common face ()",
@@ -180,7 +188,7 @@ def test_double_winding_is_caught_by_the_point_alone():
         "cones (1, 2) and (3, 4) do not meet along their common face ()",
         "cones (1, 2) and (4, 5) do not meet along their common face ()",
         "cones (2, 3) and (4, 5) do not meet along their common face ()",
-    ))
+    ), False)
     assert validate_fan(fan).issues == _meeting_issues(fan.rays, fan.max_cones)
 
 
@@ -198,7 +206,7 @@ def test_winding_through_a_ray_is_caught_by_the_closed_point_test():
     # the first cone's ray sum (1, 1) is ray 4, on the boundary of cones (3, 4) and (4, 5)
     rays = [(1, 0), (0, 1), (-3, -1), (1, -2), (1, 1), (-5, 2), (1, -5)]
     fan = make_fan(rays, [(i, (i + 1) % 7) for i in range(7)])
-    assert _matched_facets(fan.rays, fan.max_cones) and is_complete(fan)
+    assert _matched_facets(fan.rays, fan.max_cones)
     report = validate_fan(fan)
     assert len(report.issues) == 7 and report.issues == _meeting_issues(fan.rays, fan.max_cones)
 
@@ -208,7 +216,7 @@ def test_folded_cycle_fails_the_facet_match():
     rays = [(-3, -1), (1, -2), (5, 4), (-5, 4), (1, 2), (1, 0), (-1, 5)]
     fan = make_fan(rays, [(i, (i + 1) % 7) for i in range(7)])
     sides = facet_sides(fan.rays, fan.max_cones)
-    assert sides[(3,)] == [-1, -1] and sides[(5,)] == [1, 1] and is_complete(fan)
+    assert sides[(3,)] == [-1, -1] and sides[(5,)] == [1, 1]
     report = validate_fan(fan)
     assert len(report.issues) == 9 and report.issues == _meeting_issues(fan.rays, fan.max_cones)
 
@@ -217,35 +225,35 @@ def test_suspended_double_winding_is_caught_by_the_point_alone():
     rays = [(x, y, 0) for x, y in DOUBLE_WINDING] + [(0, 0, 1), (0, 0, -1)]
     cones = [c + (pole,) for c in WINDING_CONES for pole in (6, 7)]
     fan = make_fan(rays, cones)
-    assert _matched_facets(fan.rays, fan.max_cones) and is_complete(fan)
+    assert _matched_facets(fan.rays, fan.max_cones)
     report = validate_fan(fan)
     assert len(report.issues) == 24 and report.issues == _meeting_issues(fan.rays, fan.max_cones)
 
 
 def test_fans_of_dimension_one_and_zero():
     line = make_fan([(1,), (-1,)], [(0,), (1,)])
-    assert validate_fan(line) == FanValidation(True, ()) and toric._facet_certificate(line)
+    assert validate_fan(line) == FanValidation(True, (), True) and toric._facet_certificate(line)
     half_line = make_fan([(1,)], [(0,)])
-    assert validate_fan(half_line) == FanValidation(True, ())
-    assert not toric._facet_certificate(half_line) and not is_complete(half_line)
-    # r = rho: the quotient of a point by the full torus
-    point = quotient_fan_data(weight_system([(1, 0), (0, 1)]), (1, 1)).fan
-    assert point == toric.Fan(0, (), ((),))
-    assert validate_fan(point) == FanValidation(True, ()) and is_complete(point)
-    assert toric._facet_certificate(point)
+    assert validate_fan(half_line) == FanValidation(True, (), False)
+    assert not toric._facet_certificate(half_line)
+    # r = rho: the quotient of a point by the full torus, complete with Picard number 0
+    data = quotient_fan_data(weight_system([(1, 0), (0, 1)]), (1, 1))
+    assert data.fan == toric.Fan(0, (), ((),)) and data.picard_number == 0
+    assert validate_fan(data.fan) == FanValidation(True, (), True)
+    assert toric._facet_certificate(data.fan)
 
 
 def test_complete_fan_with_an_unused_ray():
     fan = make_fan([(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 1), (0, 2), (1, 2)])
-    assert validate_fan(fan) == FanValidation(False, ("ray 3 lies in no cone",))
+    assert validate_fan(fan) == FanValidation(False, ("ray 3 lies in no cone",), False)
 
 
 def test_dependent_cones():
     # the four quadrants and the flat cone of e1 and -e1; and that flat cone alone
     fan = make_fan([(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
-    assert validate_fan(fan) == FanValidation(False, ("cone (0, 2) is not simplicial: rays are dependent",))
+    assert validate_fan(fan) == FanValidation(False, ("cone (0, 2) is not simplicial: rays are dependent",), False)
     fan = make_fan([(1, 0), (-1, 0)], [(0, 1)])
-    assert validate_fan(fan) == FanValidation(False, ("cone (0, 1) is not simplicial: rays are dependent",))
+    assert validate_fan(fan) == FanValidation(False, ("cone (0, 1) is not simplicial: rays are dependent",), False)
 
 
 def test_certificate_and_pairwise_path_agree_on_library_fans(library_fan):
@@ -299,12 +307,13 @@ def _mutant(rng, rays, cones, kind):
 def test_random_complete_fans_and_mutants(rng, steps, kind):
     rays, cones = random_complete_fan(rng, steps)
     fan = make_fan(rays, cones)
-    assert validate_fan(fan) == FanValidation(True, ())
-    assert is_complete(fan) and toric._facet_certificate(fan)
+    assert validate_fan(fan) == FanValidation(True, (), True)
+    assert toric._facet_certificate(fan)
     mutant = _mutant(rng, fan.rays, fan.max_cones, kind)
     if mutant is not None:
         expected = _meeting_issues(mutant.rays, mutant.max_cones)
-        assert validate_fan(mutant) == FanValidation(not expected, expected)
+        complete = not expected and _covers_the_space(mutant)
+        assert validate_fan(mutant) == FanValidation(not expected, expected, complete)
 
 
 def test_canonicalize_is_idempotent(library_fan):
@@ -499,8 +508,11 @@ def test_quotient_fans_against_oracle(case):
     coefficients = cramer_coefficients(columns, chi)
     assume(any(min(x) > 0 for x in coefficients.values()))  # full rank, semistable
     assume(all(min(x) != 0 for x in coefficients.values()))  # inside a chamber
-    fan = quotient_fan_data(weight_system(columns), chi).fan
-    assert validate_fan(fan) == FanValidation(True, ())
+    data = quotient_fan_data(weight_system(columns), chi)
+    fan = data.fan
+    complete = _covers_the_space(fan)
+    assert validate_fan(fan) == FanValidation(True, (), complete)
+    assert data.picard_number == (len(fan.rays) - fan.ambient_dim if complete else None)
     assert _meeting_issues(fan.rays, fan.max_cones) == ()
 
 

@@ -32,6 +32,7 @@ from mdsgit.linalg import dot, rank_of, vneg
 from mdsgit.mori import classify_wall, factor_contraction
 from mdsgit.cones import cone_from_generators, cone_from_inequalities
 from mdsgit.toric import (
+    _interior_masks,
     cox_weights,
     g_ample_cone,
     make_fan,
@@ -426,10 +427,12 @@ def test_rank3_cells_and_keys():
 def test_chamber_of_reads_keys_anywhere_inside(cols):
     # sums of subsets of a chamber's generators, on hyperplanes spanned by
     # columns or off them: chamber_of agrees with a scan of the chambers'
-    # interiors, and the quotient at an interior sum is the chamber's
+    # interiors, and the quotient at an interior sum is the chamber's; the
+    # whole table read at the representative gives the walk's key
     ws = weight_system(cols)
     cx = enumerate_chambers(ws)
     for ch in cx.chambers:
+        assert _interior_masks(ws, ch.representative) == ch.key
         gens = ch.cone.generators
         for mask in range(1, 1 << len(gens)):
             x = tuple(map(sum, zip(*(g for k, g in enumerate(gens) if mask >> k & 1))))

@@ -22,8 +22,9 @@ normals are primitive and sorted.  So a conversion whose one pass ends
 with no lineality, no equation and no cut row tight on every ray reads
 the other side off the pass's masks (_facets_off_masks), and
 cut_by_inequalities cuts such a cone further from its own state with no
-pivot.  Every other conversion takes a second pass and projects off the
-lineality and equations (_assemble).
+pivot, and reads each facet's tight rays off the same masks.  Every
+other conversion takes a second pass and projects off the lineality and
+equations (_assemble).
 """
 
 from __future__ import annotations
@@ -193,8 +194,8 @@ def _dd_vrep(dim, inequalities, equations) -> tuple[tuple[IntVec, ...], tuple[In
     return tuple(st.lin), tuple(st.rays)
 
 
-def _facets_off_masks(st: _DDState, rows) -> tuple[IntVec, ...] | None:
-    """Sorted primitive facet normals of a pointed, full-dimensional state, or None.
+def _facets_off_masks(st: _DDState, rows) -> dict[IntVec, int] | None:
+    """Sorted primitive facet normals of a pointed, full-dimensional state, with tight rays.
 
     rows[k] owns mask bit k, and the state's dim is the ambient dimension
     (no equations).  None when the state has lineality or a row is tight
@@ -204,7 +205,10 @@ def _facets_off_masks(st: _DDState, rows) -> tuple[IntVec, ...] | None:
     redundant is a nonnegative combination of earlier rows, and a facet
     normal is an extreme ray of the dual cone, so one of those rows is a
     positive multiple of it.  Each other row's tight rays span a proper
-    face, which lies in a facet with more rays.
+    face, which lies in a facet with more rays.  Each normal maps to its
+    facet's tight rays as a bitmask, bit i for st.rays[i].  The masks are
+    exact: a cut row is nonnegative on every ray, so a new ray, a
+    positive combination of two, is tight on it exactly when both are.
     """
     if st.lin:
         return None
@@ -215,11 +219,11 @@ def _facets_off_masks(st: _DDState, rows) -> tuple[IntVec, ...] | None:
         by_tight.setdefault(tight, h)
     if (1 << len(masks)) - 1 in by_tight:
         return None
-    maximal: list[int] = []
+    maximal: dict[IntVec, int] = {}
     for t in sorted(by_tight, key=int.bit_count, reverse=True):
-        if not any(t & u == t for u in maximal):
-            maximal.append(t)
-    return tuple(sorted({primitive(by_tight[t]) for t in maximal}))
+        if not any(t & u == t for u in maximal.values()):
+            maximal[primitive(by_tight[t])] = t
+    return {n: maximal[n] for n in sorted(maximal)}
 
 
 def _state_from_cone(cone: Cone) -> _DDState:
@@ -288,7 +292,7 @@ def cone_from_generators(generators, lineality=(), ambient_dim=None) -> Cone:
     st, cut = _dd_pass(dim, gens, lins)
     rays = None if lins else _facets_off_masks(st, cut)
     if rays is not None:
-        return Cone(dim, rays, tuple(sorted(set(st.rays))), (), ())
+        return Cone(dim, tuple(rays), tuple(sorted(set(st.rays))), (), ())
     eq_rows, facet_normals = tuple(st.lin), tuple(st.rays)
     lin_rows, rays = _dd_vrep(dim, facet_normals, eq_rows)
     return _assemble(dim, lin_rows, rays, eq_rows, facet_normals)
@@ -310,19 +314,22 @@ def cone_from_inequalities(inequalities, equations=(), ambient_dim=None) -> Cone
     st, cut = _dd_pass(dim, ineqs, eqs)
     facets = None if eqs else _facets_off_masks(st, cut)
     if facets is not None:
-        return Cone(dim, tuple(sorted(set(st.rays))), facets, (), ())
+        return Cone(dim, tuple(sorted(set(st.rays))), tuple(facets), (), ())
     lin_rows, rays = tuple(st.lin), tuple(st.rays)
     eq_rows, facet_normals = _dd_vrep(dim, rays, lin_rows)
     return _assemble(dim, lin_rows, rays, eq_rows, facet_normals)
 
 
-def cut_by_inequalities(cone: Cone, inequalities) -> Cone:
-    """Canonical cone {x in cone : inequalities >= 0} of a pointed, full-dimensional cone.
+def cut_by_inequalities(cone: Cone, inequalities) -> tuple[Cone, tuple[list[IntVec], ...]]:
+    """{x in cone : inequalities >= 0} of a pointed, full-dimensional cone, with its facets' rays.
 
-    The cut starts from the cone's own rays and facets, with no pivot,
-    and reads the facets off its masks (_facets_off_masks).  Raises
-    InvariantViolationError when the cone has lineality or equations, or
-    when the result is not full-dimensional.
+    Returns the canonical cut cone and, for each of its facets in
+    order, the cut's rays tight on that facet.  The cut starts from the
+    cone's own rays and facets, with no pivot, and reads the facets and
+    their tight rays off its masks (_facets_off_masks), so no inequality
+    is evaluated on a ray after the pass.  Raises InvariantViolationError
+    when the cone has lineality or equations, or when the result is not
+    full-dimensional.
     """
     if cone.lineality or cone.equations:
         raise InvariantViolationError("cutting requires a pointed, full-dimensional cone")
@@ -331,7 +338,9 @@ def cut_by_inequalities(cone: Cone, inequalities) -> Cone:
     facets = _facets_off_masks(st, cone.inequalities + tuple(cut))
     if facets is None:
         raise InvariantViolationError("the cut cone is not full-dimensional")
-    return Cone(cone.ambient_dim, tuple(sorted(set(st.rays))), facets, (), ())
+    rays = st.rays
+    tight = tuple([r for i, r in enumerate(rays) if t >> i & 1] for t in facets.values())
+    return Cone(cone.ambient_dim, tuple(sorted(set(rays))), tuple(facets), (), ()), tight
 
 
 def full_space(dim: int) -> Cone:

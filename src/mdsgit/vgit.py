@@ -12,7 +12,7 @@ on the boundary of the semistable cone, all with exact arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from operator import mul
 
 from .cones import Cone, cut_by_inequalities
 from .errors import (DegenerateLinearizationError, EmptySemistableLocusError,
@@ -107,13 +107,29 @@ class ChamberComplex:
 def _key_at(table, rows) -> tuple[int, ...]:
     """The key at rows[0] + e rows[1] + ... + e^k e_1 + ... + e^(k+rho-1) e_rho, e -> 0+.
 
-    A table normal h is positive there when the first nonzero of
-    h.rows[0], ..., h.rows[k-1], h_1, ..., h_rho is, so no perturbed point
-    is formed.  Column bitmasks of the subsets, in table order.
+    table holds (column bitmask, facet normals) entries, and the key is
+    the masks of those whose normals are all positive there, in table
+    order.  This is the one sign rule of every key read, the walk's start
+    and each neighbour: h is positive at the perturbed point when the
+    first nonzero of h.rows[0], ..., h.rows[k-1], h_1, ..., h_rho is, so no
+    perturbed point is formed.
     """
-    return tuple(sum(1 << j for j in subset) for subset, normals in table
-                 if all(next(v for v in chain((dot(h, x) for x in rows), h) if v) > 0
-                        for h in normals))
+    key = []
+    for mask, normals in table:
+        for h in normals:
+            for x in rows:
+                v = sum(map(mul, h, x))
+                if v:
+                    break
+            else:
+                for v in h:
+                    if v:
+                        break
+            if v < 0:
+                break
+        else:
+            key.append(mask)
+    return tuple(key)
 
 
 def _up(n) -> IntVec:
@@ -148,21 +164,23 @@ def _in_facet(cone: Cone, n, chi) -> bool:
 def _neighbour_reader(table):
     """A function (key, p, n) giving the key at p - e n, e -> 0+, for p on a chamber facet.
 
-    key is the chamber's and n the facet's inward normal.  A subset whose
-    closed cone holds the chamber and has p, a relative-interior point of
-    the facet, on its boundary has the facet's hyperplane as a facet, and
-    so a facet normal parallel to n; every other subset keeps its
-    membership.  So the table is indexed by inward facet normal.  The
-    subsets holding +n leave, since n.(p - e n) < 0, and only those holding
-    -n, none of which can hold the chamber, are re-read.  Empty exactly
+    table holds (column bitmask, facet normals) entries, as _key_at
+    reads them; key is the chamber's and n the facet's inward normal.  A
+    subset whose closed cone holds the chamber and has p, a
+    relative-interior point of the facet, on its boundary has the facet's
+    hyperplane as a facet, and so a facet normal parallel to n; every
+    other subset keeps its membership.  So the entries are indexed by
+    inward facet normal, masks and all.  The subsets holding +n leave,
+    since n.(p - e n) < 0, and only those holding -n, none of which can
+    hold the chamber, are re-read by _key_at's sign rule.  Empty exactly
     when p - e n is outside the semistable cone.
     """
     position = {}
-    holding: dict[IntVec, tuple[list, set]] = {}  # normal -> its subsets and their masks
+    holding: dict[IntVec, tuple[list, set]] = {}  # normal -> its entries and their masks
     for entry in table:
-        mask = sum(1 << j for j in entry[0])
+        mask, normals = entry
         position[mask] = len(position)
-        for h in entry[1]:
+        for h in normals:
             sub, masks = holding.setdefault(h, ([], set()))
             sub.append(entry)
             masks.add(mask)
@@ -170,32 +188,35 @@ def _neighbour_reader(table):
     def across(key, p, n) -> tuple[int, ...]:
         leaving = holding[n][1]
         kept = [m for m in key if m not in leaving]
-        entering = _key_at(holding[vneg(n)][0], [p, vneg(n)]) if vneg(n) in holding else ()
+        out = vneg(n)
+        entering = _key_at(holding[out][0], [p, out]) if out in holding else ()
         return tuple(sorted(kept + list(entering), key=position.__getitem__))
 
     return across
 
 
-def enumerate_chambers(ws: WeightSystem) -> ChamberComplex:
-    """Enumerate all GIT chambers, walls, and boundary facets of a weight system.
+def _walk(ws: WeightSystem) -> dict[tuple[int, ...], tuple[Cone, list]]:
+    """Each chamber's key, with its cone and its sides (n, p, the key across n).
 
     Walks from key to key, starting at the sum of all columns.  Each
     chamber is converted once, in one double-description pass: the
     simplicial cone of its key's first subset, canonical as the table
     gives it, is cut by the other subsets' facet normals
-    (cut_by_inequalities), and nothing else is converted.  Across each
-    chamber normal n the key at p - e n, for p the sum of the generators
-    tight on n (_facet_point), re-reads only the subsets with facet
-    normal -n (_neighbour_reader).  It is empty on the boundary of the
-    semistable cone and names the neighbour otherwise, which must reach
-    back.  A wall is listed once, from the side its sign-normalized normal
-    points into.
+    (cut_by_inequalities), and nothing else is converted.  The cut also
+    gives each facet's tight rays, read off its masks, and p is their
+    sum, a relative-interior point of the facet.  Across each chamber
+    normal n the key at p - e n re-reads only the subsets with facet
+    normal -n (_neighbour_reader), by the sign rule of the start read
+    (_key_at); it is empty on the boundary of the semistable cone and
+    names the neighbour otherwise.
     """
     table = _full_rank_table(ws)
     entry_of = {sum(1 << j for j in subset): (subset, normals) for subset, normals in table}
-    across = _neighbour_reader(table)
-    found: dict[tuple[int, ...], tuple] = {}
-    todo = [_key_at(table, [tuple(map(sum, zip(*ws.columns)))])]
+    masked = [(mask, normals) for mask, (_, normals) in entry_of.items()]
+    across = _neighbour_reader(masked)
+    origin = (0,) * ws.rho
+    found: dict[tuple[int, ...], tuple[Cone, list]] = {}
+    todo = [_key_at(masked, [tuple(map(sum, zip(*ws.columns)))])]
     while todo:
         key = todo.pop()
         if key in found:
@@ -204,23 +225,39 @@ def enumerate_chambers(ws: WeightSystem) -> ChamberComplex:
         seed = Cone(ws.rho, tuple(sorted(primitive(ws.columns[j]) for j in subset)),
                     tuple(sorted(normals)), (), ())
         rest = {h for m in key[1:] for h in entry_of[m][1]}.difference(normals)
-        cone = cut_by_inequalities(seed, sorted(rest))
+        cone, tight = cut_by_inequalities(seed, sorted(rest))
         sides = []
-        for n in cone.inequalities:
-            other = across(key, _facet_point(cone, n), n)
-            sides.append((n, other))
+        for n, rays in zip(cone.inequalities, tight):
+            p = tuple(map(sum, zip(origin, *rays)))
+            other = across(key, p, n)
+            sides.append((n, p, other))
             if other:
                 todo.append(other)
         found[key] = (cone, sides)
+    return found
 
+
+def enumerate_chambers(ws: WeightSystem) -> ChamberComplex:
+    """Enumerate all GIT chambers, walls, and boundary facets of a weight system.
+
+    Walks from key to key (_walk), starting at the sum of all columns:
+    each chamber is one cut of its first key subset's simplicial cone
+    (cut_by_inequalities), each facet point is the sum of the tight rays
+    that cut returns, and the start key and every neighbour key are read
+    by one sign rule (_key_at).  The chambers are numbered in the order of
+    their sorted generators.  Each neighbour key must reach back across
+    the opposite normal.  A wall is listed once, from the side its
+    sign-normalized normal points into.
+    """
+    found = _walk(ws)
     order = sorted(found, key=lambda k: found[k][0].generators)
     id_of = {key: i for i, key in enumerate(order)}
     chambers, walls, boundary = [], [], []
-    crossed = {(key, other, n) for key in order for n, other in found[key][1]}
+    crossed = {(key, other, n) for key in order for n, _, other in found[key][1]}
     for i, key in enumerate(order):
         cone, sides = found[key]
         chambers.append(Chamber(i, cone, cone.relative_interior_point(), key))
-        for n, other in sides:
+        for n, _, other in sides:
             if not other:
                 boundary.append(BoundaryFacet(i, n))
             elif _up(n) == n:

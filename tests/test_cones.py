@@ -206,14 +206,23 @@ def cut_systems(draw):
 
 
 def _check_cut(seed, more):
-    """The cut of seed by more is the conversion of all the rows, or raises if that is lower-dimensional."""
-    whole = cone_from_inequalities(seed.inequalities + tuple(more), ambient_dim=seed.ambient_dim)
+    """The cut of seed by more is the conversion of all the rows, or raises if that is lower-dimensional.
+
+    Its facets are the brute-force facets of its generators, and the rays
+    it gives for each are the generators tight on it.
+    """
+    dim = seed.ambient_dim
+    whole = cone_from_inequalities(seed.inequalities + tuple(more), ambient_dim=dim)
     if not whole.is_full_dim:
         with pytest.raises(InvariantViolationError, match="not full-dimensional"):
             cut_by_inequalities(seed, more)
         return whole
-    cut = cut_by_inequalities(seed, more)
+    cut, tight = cut_by_inequalities(seed, more)
     assert cut == whole
+    facets = brute_force_facets(cut.generators, dim)
+    assert list(cut.inequalities) == facets
+    assert [sorted(rays) for rays in tight] == [
+        [g for g in cut.generators if dot(n, g) == 0] for n in facets]
     return cut
 
 
@@ -238,7 +247,8 @@ def _corpus_weight_systems():
 
 def test_cut_gives_every_chamber_of_the_corpus_and_the_prism():
     # each chamber is its first key subset's simplicial cone cut by the
-    # facet normals of the other subsets, as vgit builds it
+    # facet normals of the other subsets, as vgit builds it, with each
+    # facet's tight rays those of the brute-force facets
     systems = _corpus_weight_systems() + [cox_weights(twisted_prism())]
     assert len(systems) == 14
     chambers = 0

@@ -45,6 +45,7 @@ from mdsgit.vgit import (
     _facet_point,
     _key_at,
     _neighbour_reader,
+    _walk,
     chamber_of,
     enumerate_chambers,
     verify_disjoint_cover,
@@ -446,28 +447,43 @@ def test_chamber_of_reads_keys_anywhere_inside(cols):
 
 
 def _neighbour_mismatches(cx):
-    """Chamber facets where the normal index reads another key than the whole table."""
-    table = cx.weights.simplicial_cones
+    """Walk sides whose point or key differs from the tight generator sum and the whole table's.
+
+    The walk's point on each side is its cut's tight rays summed; it must
+    be _facet_point's sum of the chamber's generators on the side.  The
+    key the normal index reads across it must be the whole table's, and
+    empty exactly on the boundary facets.
+    """
+    table = [(sum(1 << j for j in subset), normals)
+             for subset, normals in cx.weights.simplicial_cones]
     across = _neighbour_reader(table)
     boundary = {(b.chamber, b.normal) for b in cx.boundary_facets}
+    chamber = {ch.key: ch for ch in cx.chambers}
+    found = _walk(cx.weights)
+    assert set(found) == set(chamber)
     wrong = []
-    for ch in cx.chambers:
-        for n in ch.cone.inequalities:
-            tight = [g for g in ch.cone.generators if dot(n, g) == 0]
-            p = tuple(sum(g[i] for g in tight) for i in range(cx.weights.rho))
-            key, full = across(ch.key, p, n), _key_at(table, [p, vneg(n)])
-            if key != full or (not key) != ((ch.id, n) in boundary):
-                wrong.append((ch.id, n, key, full))
+    for key, (cone, sides) in found.items():
+        ch = chamber[key]
+        assert cone == ch.cone
+        for n, p, other in sides:
+            point, full = _facet_point(cone, n), _key_at(table, [p, vneg(n)])
+            read = across(key, p, n)
+            if p != point or other != read or read != full or (not read) != ((ch.id, n) in boundary):
+                wrong.append((ch.id, n, p, point, other, read, full))
     return wrong
 
 
 @settings(max_examples=60, deadline=None)
 @example(RANK3_COLUMNS)
 @example([(1,), (-1,), (2,)])
+@example([(-1, 1, -1), (-2, 0, -1), (1, -1, 0), (2, 0, -2), (-1, -1, 0), (0, 2, 1)])
 @given(full_rank_columns())
 def test_neighbour_keys_read_by_the_normal_index(cols):
-    # the key re-read across a facet from the subsets with a parallel facet
-    # is the whole table's, and empty exactly on the boundary facets
+    # the walk's point on each side is the sum of the chamber's generators
+    # tight on it; the key re-read across it from the subsets with a
+    # parallel facet is the whole table's, and empty exactly on the
+    # boundary facets.  The third example's 13 chambers reach the sign
+    # rule's last tier, where a normal vanishes at p and on n.
     assert _neighbour_mismatches(enumerate_chambers(weight_system(cols))) == []
 
 
@@ -520,8 +536,9 @@ def test_prism3_facets_and_neighbour_keys(prism3):
 
 
 def test_prism4_neighbour_keys():
-    # across each facet of the 148 chambers, keeping the key's subsets
-    # without +n and re-reading those with -n gives the whole table's key
+    # across each facet of the 148 chambers, at the walk's tight-ray sum,
+    # keeping the key's subsets without +n and re-reading those with -n
+    # gives the whole table's key
     cx = enumerate_chambers(cox_weights(twisted_prism(((1, 0), (0, 1), (-1, 0), (0, -1)))))
     assert (len(cx.chambers), len(cx.walls), len(cx.boundary_facets)) == (148, 368, 74)
     assert _neighbour_mismatches(cx) == []

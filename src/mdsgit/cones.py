@@ -278,24 +278,10 @@ def _infer_dim(groups, ambient_dim):
 def cone_from_generators(generators, lineality=(), ambient_dim=None) -> Cone:
     """Canonical cone pos(generators) + span(lineality).
 
-    One double-description pass gives the facets as the extreme rays of
-    the dual cone.  When the cone is pointed and full-dimensional, its
-    extreme rays are the generators read off that pass's masks
-    (_facets_off_masks); otherwise a second pass rebuilds them from the
-    facets.
+    The dual of {x : generators >= 0, lineality = 0}: the canonical form
+    is symmetric under swapping the two descriptions (dual).
     """
-    dim = _infer_dim((generators, lineality), ambient_dim)
-    _check_vectors(generators, dim)
-    _check_vectors(lineality, dim)
-    gens = [tuple(g) for g in generators if not is_zero(g)]
-    lins = [tuple(l) for l in lineality if not is_zero(l)]
-    st, cut = _dd_pass(dim, gens, lins)
-    rays = None if lins else _facets_off_masks(st, cut)
-    if rays is not None:
-        return Cone(dim, tuple(rays), tuple(sorted(set(st.rays))), (), ())
-    eq_rows, facet_normals = tuple(st.lin), tuple(st.rays)
-    lin_rows, rays = _dd_vrep(dim, facet_normals, eq_rows)
-    return _assemble(dim, lin_rows, rays, eq_rows, facet_normals)
+    return dual(cone_from_inequalities(generators, lineality, ambient_dim))
 
 
 def cone_from_inequalities(inequalities, equations=(), ambient_dim=None) -> Cone:
@@ -341,19 +327,6 @@ def cut_by_inequalities(cone: Cone, inequalities) -> tuple[Cone, tuple[list[IntV
     rays = st.rays
     tight = tuple([r for i, r in enumerate(rays) if t >> i & 1] for t in facets.values())
     return Cone(cone.ambient_dim, tuple(sorted(set(rays))), tuple(facets), (), ()), tight
-
-
-def full_space(dim: int) -> Cone:
-    return Cone(dim, (), (), (), identity_rows(dim))
-
-
-def zero_cone(dim: int) -> Cone:
-    return Cone(dim, (), (), identity_rows(dim), ())
-
-
-def positive_orthant(dim: int) -> Cone:
-    eye = tuple(sorted(identity_rows(dim)))
-    return Cone(dim, eye, eye, (), ())
 
 
 def dual(cone: Cone) -> Cone:

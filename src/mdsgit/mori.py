@@ -16,9 +16,9 @@ from fractions import Fraction
 
 from .cones import Cone, cone_from_generators, intersect, minkowski_sum
 from .errors import DegenerateLinearizationError, InvariantViolationError
-from .linalg import IntVec, dot, primitive, vneg
+from .linalg import IntVec, dot, primitive
 from .toric import Fan, _check_chi, canonicalize_fan, gale_dual
-from .vgit import Chamber, ChamberComplex, Wall, _facet_point, chamber_of
+from .vgit import Chamber, ChamberComplex, Wall, chamber_of
 
 
 @dataclass(frozen=True)
@@ -243,11 +243,12 @@ def classify_boundary_facet(complex_: ChamberComplex, index: int) -> BoundaryCon
     u is >= 0 on every column, so applying u gives a_i = 0 off F.  The
     columns in F span u = 0 and have chi as a positive combination, so L is
     full-dimensional in the kernel of (a_F, t) -> sum a_i column_i - t chi,
-    of dimension |F| + 1 - (rho - 1).
+    of dimension |F| + 1 - (rho - 1).  chi is the facet's point in the
+    chamber's sides: the sum of the chamber's generators on the facet.
     """
     ws = complex_.weights
     bf = complex_.boundary_facets[index]
-    chi = _facet_point(complex_.chambers[bf.chamber].cone, bf.normal)
+    chi = complex_.sides[bf.chamber, bf.normal][0]
     quotient_dim = sum(1 for c in ws.columns if dot(bf.normal, c) == 0) - (ws.rho - 1)
     fiber_dim = ws.r - ws.rho - quotient_dim
     return BoundaryContraction(index, bf.chamber, chi, quotient_dim, fiber_dim)
@@ -287,8 +288,9 @@ def _segment_walk(
     the segment moved by e e_1 + e^2 e_2 + ..., e -> 0+ (as in _key_at),
     which crosses one wall at a time.  The crossing time is the first
     entry, the parameter on the given segment; it repeats where the
-    segment passes through a face of codimension 2 or more.  An endpoint
-    not interior to a chamber raises DegenerateLinearizationError.
+    segment passes through a face of codimension 2 or more.  The wall
+    crossed is read from the chamber's sides.  An endpoint not interior
+    to a chamber raises DegenerateLinearizationError.
     """
     ws = complex_.weights
     p = _check_chi(ws, chi_from)
@@ -296,10 +298,6 @@ def _segment_walk(
     cur = _interior_chamber(complex_, p, "source")
     end = _interior_chamber(complex_, q, "target")
     d = tuple(b - a for a, b in zip(p, q))
-    across = {}
-    for w in complex_.walls:
-        across[w.right, w.normal] = (w, w.left)
-        across[w.left, vneg(w.normal)] = (w, w.right)
     path, walls, times = [cur], [], []
     while cur != end:
         exits = []
@@ -308,9 +306,11 @@ def _segment_walk(
             if speed > 0:
                 exits.append((tuple(Fraction(x, speed) for x in (dot(f, p), *f)), f))
         exit_time, f = min(exits, default=(None, None))
-        if (cur, f) not in across:
+        _, kind, index = complex_.sides.get((cur, f), (None, None, None))
+        if kind != "wall":
             raise InvariantViolationError(f"segment leaves chamber {cur} through no wall")
-        wall, cur = across[cur, f]
+        wall = complex_.walls[index]
+        cur = wall.left if wall.right == cur else wall.right
         path.append(cur)
         walls.append(wall)
         times.append(exit_time[0])

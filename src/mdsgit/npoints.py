@@ -95,7 +95,7 @@ def _sorted_cone(n: int) -> Cone:
 
     It is simplicial: its extreme rays are e_i + ... + e_n and its facets
     are x_1 >= 0 and x_{i+1} - x_i >= 0, all primitive, so no conversion is
-    needed (as for cones.positive_orthant).
+    needed.
     """
     generators = sorted(tuple(int(j >= i) for j in range(n)) for i in range(n))
     inequalities = sorted(

@@ -226,11 +226,12 @@ class WeightSystem:
     torsion: tuple[int, ...]
 
     @cached_property
-    def simplicial_cones(self) -> tuple[tuple[tuple[int, ...], tuple[IntVec, ...]], ...]:
-        """Each nonsingular rho-subset of columns with the facet normals of its cone.
+    def simplicial_cones(self) -> tuple[tuple[int, tuple[IntVec, ...]], ...]:
+        """Each nonsingular rho-subset of columns, as a bitmask, with the facet normals of its cone.
 
-        normals[p] is the primitive inward normal of the facet opposite
-        column subset[p]: zero on the other columns, positive on that one.
+        Bit j of the mask is set when column j is in the subset.  normals[p]
+        is the primitive inward normal of the facet opposite the subset's
+        p-th column: zero on the other columns, positive on that one.
         A character is in the closed cone when every normal is nonnegative
         on it, and in the interior when every normal is positive.  Empty
         exactly when the weight matrix has rank below rho.  Raises
@@ -252,7 +253,7 @@ class WeightSystem:
         for subset in combinations(range(self.r), rho):
             normals = _inward_normals(self.columns, subset, normal_of)
             if normals is not None:
-                table.append((subset, normals))
+                table.append((sum(1 << j for j in subset), normals))
         return tuple(table)
 
 
@@ -397,10 +398,10 @@ def _interior_masks(ws: WeightSystem, chi) -> tuple[int, ...]:
     chi = _check_chi(ws, chi)
     wall = None
     interior = []
-    for subset, normals in _full_rank_table(ws):
+    for mask, normals in _full_rank_table(ws):
         values = [dot(h, chi) for h in normals]
         if min(values) > 0:
-            interior.append(sum(1 << j for j in subset))
+            interior.append(mask)
         elif wall is None and min(values) == 0:
             wall = normals[values.index(0)]
     if wall is not None:

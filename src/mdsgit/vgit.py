@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from .cones import Cone, cut_by_inequalities
-from .errors import (DegenerateLinearizationError, EmptySemistableLocusError,
-                     InvariantViolationError)
+from .errors import InvariantViolationError
 from .linalg import IntVec, dot, primitive, vneg
 from .toric import (
     QuotientData,
     WeightSystem,
+    _check_chi,
     _full_rank_table,
-    _interior_masks,
     _used_columns,
     g_ample_cone,
     quotient_fan_data,
@@ -82,13 +81,21 @@ class ChamberLocation:
 
 @dataclass
 class ChamberComplex:
-    """The full chamber decomposition of the semistable cone of a weight system."""
+    """The full chamber decomposition of the semistable cone of a weight system.
+
+    sides maps each chamber side, (chamber id, inward facet normal), to
+    (p, kind, index): p is the sum of the chamber's generators on the
+    side, in its relative interior, and the side is walls[index] when kind
+    is "wall", boundary_facets[index] when it is "boundary".  The walk
+    computes them (_walk); no reader rebuilds them.
+    """
 
     weights: WeightSystem
     g_ample: Cone
     chambers: tuple[Chamber, ...]
     walls: tuple[Wall, ...]
     boundary_facets: tuple[BoundaryFacet, ...]
+    sides: dict = field(default_factory=dict, repr=False, compare=False)
     _quotients: dict = field(default_factory=dict, repr=False, compare=False)
     _moving: object = field(default=None, repr=False, compare=False)
 
@@ -130,35 +137,6 @@ def _key_at(table, rows) -> tuple[int, ...]:
         else:
             key.append(mask)
     return tuple(key)
-
-
-def _up(n) -> IntVec:
-    """n or -n, whichever has its first nonzero entry positive."""
-    return n if next(x for x in n if x) > 0 else vneg(n)
-
-
-def _facet_point(cone: Cone, n) -> IntVec:
-    """The sum of the chamber's generators on which n vanishes.
-
-    A chamber is pointed and full-dimensional, so these generators span
-    its facet with inward normal n, and their sum lies in that facet's
-    relative interior.  Raises InvariantViolationError if the chamber has
-    lineality.
-    """
-    if cone.lineality:
-        raise InvariantViolationError(f"chamber with generators {cone.generators} has lineality")
-    tight = [g for g in cone.generators if dot(n, g) == 0]
-    return tuple(sum(g[i] for g in tight) for i in range(cone.ambient_dim))
-
-
-def _in_facet(cone: Cone, n, chi) -> bool:
-    """Whether chi is in the relative interior of the chamber's facet with inward normal n.
-
-    Exact because the chamber is pointed and full-dimensional: each ridge
-    of the facet lies on another facet of the chamber, so chi is off every
-    ridge exactly when every other inequality is positive there.
-    """
-    return dot(n, chi) == 0 and all(dot(h, chi) > 0 for h in cone.inequalities if h != n)
 
 
 def _neighbour_reader(table):
@@ -211,20 +189,19 @@ def _walk(ws: WeightSystem) -> dict[tuple[int, ...], tuple[Cone, list]]:
     names the neighbour otherwise.
     """
     table = _full_rank_table(ws)
-    entry_of = {sum(1 << j for j in subset): (subset, normals) for subset, normals in table}
-    masked = [(mask, normals) for mask, (_, normals) in entry_of.items()]
-    across = _neighbour_reader(masked)
+    normals_of = dict(table)
+    across = _neighbour_reader(table)
     origin = (0,) * ws.rho
     found: dict[tuple[int, ...], tuple[Cone, list]] = {}
-    todo = [_key_at(masked, [tuple(map(sum, zip(*ws.columns)))])]
+    todo = [_key_at(table, [tuple(map(sum, zip(*ws.columns)))])]
     while todo:
         key = todo.pop()
         if key in found:
             continue
-        subset, normals = entry_of[key[0]]
-        seed = Cone(ws.rho, tuple(sorted(primitive(ws.columns[j]) for j in subset)),
-                    tuple(sorted(normals)), (), ())
-        rest = {h for m in key[1:] for h in entry_of[m][1]}.difference(normals)
+        normals = normals_of[key[0]]
+        gens = tuple(sorted(primitive(c) for j, c in enumerate(ws.columns) if key[0] >> j & 1))
+        seed = Cone(ws.rho, gens, tuple(sorted(normals)), (), ())
+        rest = {h for m in key[1:] for h in normals_of[m]}.difference(normals)
         cone, tight = cut_by_inequalities(seed, sorted(rest))
         sides = []
         for n, rays in zip(cone.inequalities, tight):
@@ -247,7 +224,8 @@ def enumerate_chambers(ws: WeightSystem) -> ChamberComplex:
     by one sign rule (_key_at).  The chambers are numbered in the order of
     their sorted generators.  Each neighbour key must reach back across
     the opposite normal.  A wall is listed once, from the side its
-    sign-normalized normal points into.
+    sign-normalized normal points into.  Once the walls and boundary
+    facets are sorted, every side the walk computed is kept in sides.
     """
     found = _walk(ws)
     order = sorted(found, key=lambda k: found[k][0].generators)
@@ -260,36 +238,50 @@ def enumerate_chambers(ws: WeightSystem) -> ChamberComplex:
         for n, _, other in sides:
             if not other:
                 boundary.append(BoundaryFacet(i, n))
-            elif _up(n) == n:
-                if (other, key, vneg(n)) not in crossed:
-                    raise InvariantViolationError(f"chamber {i}'s wall {n} is one-sided")
+            elif (other, key, vneg(n)) not in crossed:
+                raise InvariantViolationError(f"chamber {i}'s wall {n} is one-sided")
+            elif next(x for x in n if x) > 0:
                 walls.append(Wall(id_of[other], i, n))
     walls.sort(key=lambda w: (w.left, w.right))
     boundary.sort(key=lambda b: (b.chamber, b.normal))
-    return ChamberComplex(ws, g_ample_cone(ws), tuple(chambers), tuple(walls), tuple(boundary))
+    side_of = {}
+    for k, w in enumerate(walls):
+        side_of[w.right, w.normal] = side_of[w.left, vneg(w.normal)] = ("wall", k)
+    for k, b in enumerate(boundary):
+        side_of[b.chamber, b.normal] = ("boundary", k)
+    index = {(i, n): (p, *side_of[i, n]) for i, k in enumerate(order) for n, p, _ in found[k][1]}
+    return ChamberComplex(ws, g_ample_cone(ws), tuple(chambers), tuple(walls), tuple(boundary),
+                          index)
 
 
 def chamber_of(complex_: ChamberComplex, chi) -> ChamberLocation:
-    """Locate a character: by the key read at chi, else by scanning walls and boundary facets."""
-    try:
-        key = _interior_masks(complex_.weights, chi)
-    except EmptySemistableLocusError:
+    """Locate a character by the key read just inside the semistable cone E from it.
+
+    The key at chi + e c, e -> 0+, with c the sum of all columns and so
+    interior to E, is read by the walk's sign rule (_key_at).  It is empty
+    exactly when chi is outside E, and otherwise names a chamber whose
+    closure holds chi.  chi is interior to that chamber when none of its
+    facet normals vanishes there, in the relative interior of that side's
+    wall or boundary facet (read from sides) when exactly one does, and on
+    a face of codimension 2 or more otherwise.
+    """
+    ws = complex_.weights
+    chi = _check_chi(ws, chi)
+    key = _key_at(ws.simplicial_cones, [chi, tuple(map(sum, zip(*ws.columns)))])
+    if not key:
         return ChamberLocation("outside")
-    except DegenerateLinearizationError:
-        pass
-    else:
-        for ch in complex_.chambers:
-            if ch.key == key:
-                return ChamberLocation("interior", chamber=ch.id)
-        raise InvariantViolationError(f"character {tuple(chi)} reads the key of no chamber")
-    chambers = complex_.chambers
-    for idx, w in enumerate(complex_.walls):
-        if _in_facet(chambers[w.right].cone, w.normal, chi):
-            return ChamberLocation("wall", wall=idx)
-    for idx, b in enumerate(complex_.boundary_facets):
-        if _in_facet(chambers[b.chamber].cone, b.normal, chi):
-            return ChamberLocation("boundary", chamber=b.chamber, boundary_facet=idx)
-    return ChamberLocation("face")
+    ch = next((ch for ch in complex_.chambers if ch.key == key), None)
+    if ch is None:
+        raise InvariantViolationError(f"character {chi} reads the key of no chamber")
+    on = [n for n in ch.cone.inequalities if dot(n, chi) == 0]
+    if not on:
+        return ChamberLocation("interior", chamber=ch.id)
+    if len(on) > 1:
+        return ChamberLocation("face")
+    _, kind, index = complex_.sides[ch.id, on[0]]
+    if kind == "wall":
+        return ChamberLocation("wall", wall=index)
+    return ChamberLocation("boundary", chamber=ch.id, boundary_facet=index)
 
 
 @dataclass(frozen=True)

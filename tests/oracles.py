@@ -284,6 +284,17 @@ def table_keys(columns, points):
     ]
 
 
+def tight_generator_sum(generators, normal):
+    """The sum of the generators on which normal vanishes.
+
+    For the generators of a pointed, full-dimensional cone and one of its
+    facet normals, these generators span the facet, so their sum lies in
+    the facet's relative interior.
+    """
+    tight = [g for g in generators if sum(a * b for a, b in zip(normal, g)) == 0]
+    return tuple(sum(g[i] for g in tight) for i in range(len(normal)))
+
+
 def crossing_issues(complex_, p, q, factorization) -> list[str]:
     """What is wrong with the crossing times of a factorization from p to q.
 
@@ -410,7 +421,8 @@ def simplicial_table(columns):
     Walks the subsets in lexicographic order.  A subset is kept when its
     determinant is nonzero, and the normal opposite its p-th column is the
     null vector of the other columns, signed positive on the p-th.  The
-    layout is that of WeightSystem.simplicial_cones.
+    layout is that of WeightSystem.simplicial_cones: the subset as a
+    column bitmask, bit j for column j, with its normals.
     """
     columns = [tuple(c) for c in columns]
     rho = len(columns[0])
@@ -425,7 +437,7 @@ def simplicial_table(columns):
             if sum(a * b for a, b in zip(normal, cols[p])) < 0:
                 normal = tuple(-c for c in normal)
             normals.append(normal)
-        table.append((subset, tuple(normals)))
+        table.append((sum(1 << j for j in subset), tuple(normals)))
     return tuple(table)
 
 
@@ -643,7 +655,7 @@ def full_line_config(n: int) -> FullLineConfig:
     across every wall between stable chambers; a second value for a chamber
     raises.  Exponential in n: n = 7 takes about 30 s and 300 MB.
     """
-    from mdsgit.cones import adjacent_pairs, positive_orthant, split_by_hyperplanes
+    from mdsgit.cones import Cone, adjacent_pairs, split_by_hyperplanes
 
     walls = tuple(
         OracleWall(s, tuple(1 if i in s else -1 for i in range(1, n + 1)))
@@ -651,7 +663,9 @@ def full_line_config(n: int) -> FullLineConfig:
         for s in combinations(range(1, n + 1), size)
         if 2 * size != n or 1 in s
     )
-    cells = sorted(split_by_hyperplanes(positive_orthant(n), [w.covector for w in walls]),
+    eye = tuple(sorted(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    orthant = Cone(n, eye, eye, (), ())
+    cells = sorted(split_by_hyperplanes(orthant, [w.covector for w in walls]),
                    key=lambda cell: cell.mask)
     singletons = (1 << n) - 1
     chambers = tuple(

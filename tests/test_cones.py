@@ -11,17 +11,15 @@ from hypothesis import strategies as st
 
 from conftest import twisted_prism
 from mdsgit.cones import (
+    Cone,
     adjacent_pairs,
     cone_from_generators,
     cone_from_inequalities,
     cut_by_inequalities,
     dual,
-    full_space,
     intersect,
     minkowski_sum,
-    positive_orthant,
     split_by_hyperplanes,
-    zero_cone,
 )
 from mdsgit.errors import InvariantViolationError
 from mdsgit.linalg import dot, vneg
@@ -38,6 +36,12 @@ from oracles import (
 
 entries = st.integers(min_value=-5, max_value=5)
 
+# canonical forms written down, for conversions to be compared against
+QUADRANT = Cone(2, ((0, 1), (1, 0)), ((0, 1), (1, 0)), (), ())
+OCTANT = Cone(3, ((0, 0, 1), (0, 1, 0), (1, 0, 0)), ((0, 0, 1), (0, 1, 0), (1, 0, 0)), (), ())
+ORIGIN = Cone(2, (), (), ((1, 0), (0, 1)), ())
+PLANE = Cone(2, (), (), (), ((1, 0), (0, 1)))
+
 
 def gens_strategy(dim, max_gens=6):
     vec = st.tuples(*[entries] * dim).filter(any)
@@ -45,7 +49,7 @@ def gens_strategy(dim, max_gens=6):
 
 
 def test_positive_orthant_forms():
-    c = positive_orthant(3)
+    c = OCTANT
     eye = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert cone_from_generators(eye) == c
     assert cone_from_inequalities(eye) == c
@@ -53,8 +57,7 @@ def test_positive_orthant_forms():
 
 
 def test_zero_and_full():
-    z = zero_cone(2)
-    f = full_space(2)
+    z, f = ORIGIN, PLANE
     assert z.dim == 0 and f.dim == 2
     assert dual(z) == f and dual(f) == z
     assert cone_from_generators([], ambient_dim=2) == z
@@ -68,7 +71,7 @@ def test_halfplane_with_lineality():
 
 
 def test_contains():
-    c = positive_orthant(2)
+    c = QUADRANT
     assert c.contains((1, 1)) == "interior"
     assert c.contains((1, 0)) == "boundary"
     assert c.contains((0, 0)) == "boundary"
@@ -253,12 +256,12 @@ def test_cut_gives_every_chamber_of_the_corpus_and_the_prism():
     assert len(systems) == 14
     chambers = 0
     for ws in systems:
-        entry_of = {sum(1 << j for j in subset): (subset, normals)
-                    for subset, normals in ws.simplicial_cones}
+        normals_of = dict(ws.simplicial_cones)
         for ch in enumerate_chambers(ws).chambers:
-            subset, _ = entry_of[ch.key[0]]
-            seed = cone_from_generators([ws.columns[j] for j in subset], ambient_dim=ws.rho)
-            rest = [h for m in ch.key[1:] for h in entry_of[m][1]]
+            first = ch.key[0]
+            seed = cone_from_generators([c for j, c in enumerate(ws.columns) if first >> j & 1],
+                                        ambient_dim=ws.rho)
+            rest = [h for m in ch.key[1:] for h in normals_of[m]]
             assert _check_cut(seed, rest) == ch.cone
             chambers += 1
     assert chambers == 79 + 24
@@ -278,24 +281,24 @@ def test_conversion_keeps_the_face_of_an_opposite_pair():
 
 
 def test_intersect_and_minkowski():
-    quad = positive_orthant(2)
+    quad = QUADRANT
     half = cone_from_inequalities([(1, -1)])
     lower = intersect(quad, half)
     assert lower == cone_from_generators([(1, 0), (1, 1)])
     back = minkowski_sum(lower, cone_from_generators([(0, 1)]))
     assert back == quad
-    assert intersect(quad, full_space(2)) == quad
-    assert minkowski_sum(quad, zero_cone(2)) == quad
+    assert intersect(quad, PLANE) == quad
+    assert minkowski_sum(quad, ORIGIN) == quad
 
 
 def test_split_known_counts():
-    quad = positive_orthant(2)
+    quad = QUADRANT
     cells = split_by_hyperplanes(quad, [(1, -1)])
     assert len(cells) == 2
     assert sorted(c.mask for c in cells) == [0, 1]
-    cells = split_by_hyperplanes(full_space(2), [(1, 0), (0, 1)])
+    cells = split_by_hyperplanes(PLANE, [(1, 0), (0, 1)])
     assert len(cells) == 4
-    cells = split_by_hyperplanes(full_space(2), [(1, 0), (0, 1), (1, -1)])
+    cells = split_by_hyperplanes(PLANE, [(1, 0), (0, 1), (1, -1)])
     assert len(cells) == 6
 
 
@@ -306,7 +309,7 @@ def test_split_rejects_vanishing_hyperplane():
 
 
 def test_split_signs_are_strict():
-    quad = positive_orthant(2)
+    quad = QUADRANT
     hyps = [(1, -1), (2, -1)]
     for cell in split_by_hyperplanes(quad, hyps):
         rep = tuple(sum(r[i] for r in cell.rays) for i in range(2))
@@ -324,7 +327,7 @@ def test_split_signs_are_strict():
     )
 )
 def test_split_count_matches_bruteforce(hyps):
-    base = positive_orthant(3)
+    base = OCTANT
     usable = [h for h in hyps if _crosses(h)]
     cells = split_by_hyperplanes(base, usable)
     expected = count_chambers_bruteforce(usable, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)

@@ -42,7 +42,6 @@ from mdsgit.toric import (
 )
 from mdsgit.vgit import (
     Wall,
-    _facet_point,
     _key_at,
     _neighbour_reader,
     _walk,
@@ -58,6 +57,7 @@ from oracles import (
     spanning_subsets,
     surface_walls,
     table_keys,
+    tight_generator_sum,
 )
 
 CHAMBER_COUNTS = [
@@ -450,12 +450,11 @@ def _neighbour_mismatches(cx):
     """Walk sides whose point or key differs from the tight generator sum and the whole table's.
 
     The walk's point on each side is its cut's tight rays summed; it must
-    be _facet_point's sum of the chamber's generators on the side.  The
-    key the normal index reads across it must be the whole table's, and
-    empty exactly on the boundary facets.
+    be the sum of the chamber's generators on the side.  The key the
+    normal index reads across it must be the whole table's, and empty
+    exactly on the boundary facets.
     """
-    table = [(sum(1 << j for j in subset), normals)
-             for subset, normals in cx.weights.simplicial_cones]
+    table = cx.weights.simplicial_cones
     across = _neighbour_reader(table)
     boundary = {(b.chamber, b.normal) for b in cx.boundary_facets}
     chamber = {ch.key: ch for ch in cx.chambers}
@@ -466,7 +465,7 @@ def _neighbour_mismatches(cx):
         ch = chamber[key]
         assert cone == ch.cone
         for n, p, other in sides:
-            point, full = _facet_point(cone, n), _key_at(table, [p, vneg(n)])
+            point, full = tight_generator_sum(cone.generators, n), _key_at(table, [p, vneg(n)])
             read = across(key, p, n)
             if p != point or other != read or read != full or (not read) != ((ch.id, n) in boundary):
                 wrong.append((ch.id, n, p, point, other, read, full))
@@ -499,7 +498,8 @@ def _location_mismatches(cx):
     sides = [("wall", k, w.right, w.normal) for k, w in enumerate(cx.walls)]
     sides += [("boundary", k, b.chamber, b.normal) for k, b in enumerate(cx.boundary_facets)]
     faces = [(kind, k, _face(cx, i, n)) for kind, k, i, n in sides]
-    points = [(_facet_point(cx.chambers[i].cone, n), [(kind, k)]) for kind, k, i, n in sides]
+    points = [(tight_generator_sum(cx.chambers[i].cone.generators, n), [(kind, k)])
+              for kind, k, i, n in sides]
     for ch in cx.chambers:
         for pair in combinations(ch.cone.inequalities, 2):
             tight = _tight(ch.cone, *pair)
@@ -528,9 +528,46 @@ def test_chamber_of_finds_walls_and_boundary_facets(cols):
     assert _location_mismatches(enumerate_chambers(weight_system(cols))) == []
 
 
+def _side_mismatches(cx):
+    """Entries of cx.sides off the chamber facets, the tight generator sums or their sides.
+
+    There must be one entry per chamber and inward facet normal, so 2 per
+    wall and 1 per boundary facet.  Each point must be the sum of the
+    chamber's generators on the side.  A wall entry must be its wall's
+    left chamber with normal -n or its right chamber with normal n, and a
+    boundary entry its facet's chamber and normal.
+    """
+    facets = [(ch.id, n) for ch in cx.chambers for n in ch.cone.inequalities]
+    assert sorted(cx.sides) == sorted(facets)
+    assert len(facets) == 2 * len(cx.walls) + len(cx.boundary_facets)
+    wrong = []
+    for (i, n), (p, kind, k) in cx.sides.items():
+        if kind == "wall":
+            w = cx.walls[k]
+            placed = (i, n) in ((w.left, vneg(w.normal)), (w.right, w.normal))
+        else:
+            b = cx.boundary_facets[k]
+            placed = kind == "boundary" and (i, n) == (b.chamber, b.normal)
+        if not placed or p != tight_generator_sum(cx.chambers[i].cone.generators, n):
+            wrong.append((i, n, p, kind, k))
+    return wrong
+
+
+@settings(max_examples=60, deadline=None)
+@example(RANK3_COLUMNS)
+@example([(1,), (-1,), (2,)])
+@example([(-1,), (-2,)])
+@given(full_rank_columns())
+def test_sides_are_the_chamber_facets(cols):
+    # one entry per chamber facet, at its tight generator sum, naming the
+    # wall or boundary facet that the chamber has on that side
+    assert _side_mismatches(enumerate_chambers(weight_system(cols))) == []
+
+
 def test_prism3_facets_and_neighbour_keys(prism3):
     cx = enumerate_chambers(cox_weights(prism3))
     assert (len(cx.chambers), len(cx.walls), len(cx.boundary_facets)) == (24, 36, 6)
+    assert _side_mismatches(cx) == []
     assert _location_mismatches(cx) == []
     assert _neighbour_mismatches(cx) == []
 
@@ -538,16 +575,11 @@ def test_prism3_facets_and_neighbour_keys(prism3):
 def test_prism4_neighbour_keys():
     # across each facet of the 148 chambers, at the walk's tight-ray sum,
     # keeping the key's subsets without +n and re-reading those with -n
-    # gives the whole table's key
+    # gives the whole table's key; the complex keeps each side at that sum
     cx = enumerate_chambers(cox_weights(twisted_prism(((1, 0), (0, 1), (-1, 0), (0, -1)))))
     assert (len(cx.chambers), len(cx.walls), len(cx.boundary_facets)) == (148, 368, 74)
     assert _neighbour_mismatches(cx) == []
-
-
-def test_facets_refuse_a_chamber_with_lineality():
-    half_plane = cone_from_inequalities([(1, 0)], ambient_dim=2)
-    with pytest.raises(InvariantViolationError, match="lineality"):
-        _facet_point(half_plane, (1, 0))
+    assert _side_mismatches(cx) == []
 
 
 def _cross(u, v):
